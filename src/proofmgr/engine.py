@@ -35,6 +35,8 @@ from .meta import (
     fact,
     hiding_defs,
     obligation_free_identifiers,
+    obligation_to_expression,
+    reflect_binders,
     unhide,
     using_defs,
 )
@@ -221,8 +223,6 @@ def expand_for_matching(o: Obligation) -> Obligation:
                 d = defs[name]
                 if isinstance(d, Lambda):
                     break  # needs arguments; leave for the caller to reject
-                from .meta import obligation_to_expression
-
                 goal = obligation_to_expression(d)
             case OpApp(name, args) if name in defs:
                 d = defs[name]
@@ -658,8 +658,6 @@ class _Checker:
 
     def _pick(self, token, binders, pbody, proof, obl, path) -> StepOutcome:
         spath = path + (token.name,)
-        from .meta import reflect_binders
-
         for b in binders:
             if b.domain is not None:
                 _require_closed(b.domain, obl, "PICK bound", spath)

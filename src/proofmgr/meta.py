@@ -23,9 +23,12 @@ from .syntax import (
     In,
     OpApp,
     Quant,
+    SetComp,
+    SetImage,
     _alpha,
     alpha_equal,
     free_identifiers,
+    map_children,
     pretty,
     subst_many,
     substitute,
@@ -391,8 +394,6 @@ def _expand_expr(e: Expr, name: str, d) -> Expr:
 
 
 def _expand_lambda_expr(e: Expr, name: str, lam: Lambda) -> Expr:
-    from . import syntax as s
-
     def walk(x: Expr) -> Expr:
         match x:
             case OpApp(n, args) if n == name:
@@ -404,60 +405,23 @@ def _expand_lambda_expr(e: Expr, name: str, lam: Lambda) -> Expr:
                 return subst_many(lam.body, dict(zip(lam.params, new_args)))
             case Ident(n) if n == name:
                 raise ArityMismatch(f"{name} expects {len(lam.params)} arguments")
-            case s.Quant(kind, binders, body) if any(b.name == name for b in binders):
-                return s.Quant(
+            case Quant(kind, binders, body) if any(b.name == name for b in binders):
+                return Quant(
                     kind,
                     tuple(
-                        s.Binder(b.name, walk(b.domain) if b.domain is not None else None)
+                        Binder(b.name, walk(b.domain) if b.domain is not None else None)
                         for b in binders
                     ),
                     body,
                 )
-            case s.SetComp(var, domain, pred) if var == name:
-                return s.SetComp(var, walk(domain), pred)
-            case s.SetImage(expr, var, domain) if var == name:
-                return s.SetImage(expr, var, walk(domain))
+            case SetComp(var, domain, pred) if var == name:
+                return SetComp(var, walk(domain), pred)
+            case SetImage(expr, var, domain) if var == name:
+                return SetImage(expr, var, walk(domain))
             case _:
-                return _map_children(x, walk)
+                return map_children(x, walk)
 
     return walk(e)
-
-
-def _map_children(e: Expr, f) -> Expr:
-    from . import syntax as s
-
-    match e:
-        case s.Ident() | s.Bool():
-            return e
-        case s.OpApp(n, args):
-            return s.OpApp(n, tuple(f(a) for a in args))
-        case s.FnApp(fn, arg):
-            return s.FnApp(f(fn), f(arg))
-        case s.Quant(kind, binders, body):
-            return s.Quant(
-                kind,
-                tuple(
-                    s.Binder(b.name, f(b.domain) if b.domain is not None else None)
-                    for b in binders
-                ),
-                f(body),
-            )
-        case s.Neg(item):
-            return s.Neg(f(item))
-        case s.In(i, st):
-            return s.In(f(i), f(st))
-        case s.NotIn(i, st):
-            return s.NotIn(f(i), f(st))
-        case s.PowerSet(st):
-            return s.PowerSet(f(st))
-        case s.SetComp(var, domain, pred):
-            return s.SetComp(var, f(domain), f(pred))
-        case s.SetImage(expr, var, domain):
-            return s.SetImage(f(expr), var, f(domain))
-        case s.FuncSpace(dom, cod):
-            return s.FuncSpace(f(dom), f(cod))
-        case _:
-            return type(e)(f(e.left), f(e.right))  # type: ignore[attr-defined]
 
 
 def expand_all_usable(o: Obligation, drop_unused: bool = True) -> Obligation:

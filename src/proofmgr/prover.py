@@ -25,11 +25,14 @@ Traces are line-oriented and replayable: one rule application per line, as
 tab-separated fields ``rule``, ``principal index``, then the introduced
 ``index:formula`` entries (a gamma or delta line carries the introduced name
 before the formula).  A ``close`` line names the complementary pair and the
-unifier bindings.  Replay maintains a stack of open branches: expansions
-extend the current branch; ``beta`` continues on its second introduced
-formula and pushes a branch for the first (the second part of a branching
-rule usually constrains the metavariables its side condition needs);
-``close*`` pops.
+unifier bindings.  Search and replay share one implementation of every rule
+(``_Tableau``): replay re-runs it on each line's principal formula and
+accepts the line only when it introduces the same formulas or closes with the
+same bindings; it also requires every skolem name to be fresh.  Replay keeps
+a stack of open branches: expansions extend the current branch; ``beta``
+continues on its second introduced formula and pushes a branch for the first
+(the second part of a branching rule usually constrains the metavariables its
+side condition needs); ``close*`` pops.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from typing import Optional, Union
 
 from . import syntax as s
 from .meta import Def, Fact, New, Obligation, obligation_to_expression
-from .syntax import Binder, Expr, Ident, Neg, OpApp, Quant, free_identifiers, pretty
+from .syntax import Binder, Expr, Ident, Neg, OpApp, Quant, free_identifiers, map_children, pretty
 
 
 @dataclass(frozen=True)
@@ -130,21 +133,24 @@ def normalize(e: Expr) -> Expr:
                     out = Quant(kind, (Binder(b.name),), s.And(s.In(Ident(b.name), dom), out))
             return out
         case _:
-            from .meta import _map_children
-
-            return _map_children(e, normalize)
+            return map_children(e, normalize)
 
 
 def _is_meta(e: Expr) -> bool:
     return isinstance(e, Ident) and e.name.startswith("?")
 
 
-def _reserved_names(e: Expr) -> set[str]:
-    out: set[str] = set()
-    for name in free_identifiers(e):
-        if name.startswith("?") or name.startswith("!"):
-            out.add(name)
-    return out
+def _ground(e: Expr) -> bool:
+    """No metavariable occurs in e (e already resolved)."""
+    return not any(n.startswith("?") for n in free_identifiers(e))
+
+
+def _reserved_names(sequent: Sequent) -> list[str]:
+    """Names in the sequent spelled like a metavariable or a skolem term."""
+    names = set(sequent.constants)
+    for e in (*sequent.hypotheses, sequent.goal):
+        names |= free_identifiers(e)
+    return sorted(n for n in names if n.startswith("?") or n.startswith("!"))
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +174,15 @@ class _Subst:
         self.trail.append(name)
 
     def resolve(self, e: Expr) -> Expr:
-        from .meta import _map_children
-
         if isinstance(e, Ident) and e.name in self.map:
             return self.resolve(self.map[e.name])
-        return _map_children(e, self.resolve)
+        return map_children(e, self.resolve)
+
+    def bindings(self, mark: int) -> str:
+        """The trace text of the bindings made since mark."""
+        return "; ".join(
+            f"{k} := {pretty(self.resolve(self.map[k]))}" for k in sorted(self.trail[mark:])
+        )
 
     def occurs(self, name: str, e: Expr) -> bool:
         e = self.resolve(e)
@@ -238,15 +248,10 @@ class _Subst:
                     return False
                 return all(self.unify(x, y, cc) for x, y in zip(ka, kb))
 
-    def _ground_expr(self, e: Expr) -> bool:
-        return not any(
-            n.startswith("?") for n in free_identifiers(self.resolve(e))
-        )
-
     def _unify_via_congruence(self, a: Expr, b: Expr, cc) -> bool:
         if cc is None:
             return False
-        ga, gb = self._ground_expr(a), self._ground_expr(b)
+        ga, gb = _ground(a), _ground(b)
         if ga and gb:
             return cc.equal(a, b)
         # one hop: retry the non-ground side against the ground side's class
@@ -360,7 +365,7 @@ class _Congruence:
 
 
 # ---------------------------------------------------------------------------
-# Rule computation (shared by search and replay)
+# Rule justification (applied by the search, re-run by replay)
 
 _ATOMS = (s.In, s.Eq, OpApp, Ident, s.FnApp, s.Bool, s.Subseteq)
 
@@ -496,6 +501,116 @@ def _expansion(e: Expr) -> Optional[tuple[str, str, object]]:
             return None
 
 
+def _complements(e: Expr, other: Optional[Expr] = None) -> list[tuple[Expr, Expr]]:
+    """The term pairs whose unification closes a branch: the two sides of a
+    negated equality e, or, for formulas e and other, a negated formula's
+    atom and the other formula, in both orders."""
+    if other is None:
+        if isinstance(e, Neg) and isinstance(e.item, s.Eq):
+            return [(e.item.left, e.item.right)]
+        return []
+    return [(a.item, b) for a, b in ((e, other), (other, e)) if isinstance(a, Neg)]
+
+
+class _Tableau:
+    """The entries of one tableau under a substitution, and the justification
+    of every rule over them.  The search chooses which rule to apply where;
+    replay re-runs the same justification for each trace line."""
+
+    def __init__(self, sequent: Sequent):
+        self.initial = [normalize(h) for h in sequent.hypotheses]
+        self.initial.append(Neg(normalize(sequent.goal)))
+        self.restart()
+
+    def restart(self) -> None:
+        self.entries: list[Expr] = []
+        self.meta_free: list[bool] = []
+        self.exp_cache: dict[int, Optional[tuple]] = {}
+        self.subst = _Subst()
+        for e in self.initial:
+            self._add(e)
+
+    def _add(self, e: Expr) -> int:
+        self.entries.append(e)
+        self.meta_free.append(_ground(e))
+        return len(self.entries) - 1
+
+    def _resolved(self, i: int) -> Expr:
+        if self.meta_free[i]:
+            return self.entries[i]
+        return self.subst.resolve(self.entries[i])
+
+    def _expansion_of(self, i: int):
+        if self.meta_free[i]:
+            if i not in self.exp_cache:
+                self.exp_cache[i] = _expansion(self.entries[i])
+            return self.exp_cache[i]
+        return _expansion(self.subst.resolve(self.entries[i]))
+
+    def _text(self, e: Expr) -> str:
+        return pretty(self.subst.resolve(e))
+
+    def _congruence(self, items: list[int]) -> Optional[_Congruence]:
+        eqs: list[tuple[Expr, Expr]] = []
+        for i in items:
+            e = self._resolved(i)
+            if isinstance(e, s.Eq) and _ground(e):
+                eqs.append((e.left, e.right))
+        if not eqs:
+            return None
+        return _Congruence(eqs)
+
+    def _closings(self, pairs: list[tuple[Expr, Expr]], cc: Optional[_Congruence]):
+        """Unify each pair in turn and yield the trace text of the bindings
+        made; they are undone when the caller asks for the next pair and
+        stay made if it stops."""
+        for a, b in pairs:
+            mark = self.subst.mark()
+            if self.subst.unify(a, b, cc):
+                yield self.subst.bindings(mark)
+            self.subst.undo(mark)
+
+    def _instance(self, exp: tuple, name: str) -> Expr:
+        """The gamma instance of a quantifier at the metavariable name, or its
+        delta instance at the skolem term over the body's metavariables."""
+        _, kind, (x, body, negate) = exp
+        term: Expr = Ident(name)
+        if kind == "delta":
+            resolved_body = self.subst.resolve(body)
+            mvs = sorted(n for n in free_identifiers(resolved_body) if n.startswith("?"))
+            if mvs:
+                term = OpApp(name, tuple(Ident(m) for m in mvs))
+        inst = s.substitute(body, x, term)
+        return Neg(inst) if negate else inst
+
+    def _find_rewrite(self, items: list[int], principals) -> Optional[tuple[int, Expr]]:
+        """One bounded rewrite: re-expose a set shape hidden behind the
+        equalities among items in the first membership literal of principals
+        whose set is congruent to it."""
+        cc = self._congruence(items)
+        if cc is None:
+            return None
+        shaped = [t for t in list(cc.pool) if isinstance(t, _SET_SHAPES)]
+        if not shaped:
+            return None
+        present = {self._resolved(i) for i in items}
+        for i in principals:
+            e = self._resolved(i)
+            inner = e.item if isinstance(e, Neg) else e
+            if not isinstance(inner, s.In) or isinstance(inner.set, _SET_SHAPES):
+                continue
+            if not _ground(e):
+                continue
+            for t in shaped:
+                if cc.equal(inner.set, t):
+                    new_atom = s.In(inner.item, t)
+                    out: Expr = Neg(new_atom) if isinstance(e, Neg) else new_atom
+                    if out in present:
+                        continue
+                    return i, out
+        return None
+
+
 # ---------------------------------------------------------------------------
 # Search
 
@@ -533,29 +648,11 @@ class _Branch:
 _THEORY_RULES = ("func-space", "extensionality")
 
 
-def _replace_term(e: Expr, old: Expr, new: Expr) -> Expr:
-    """Replace occurrences of a ground term, not descending under binders
-    (a binder may rebind a name occurring in the term)."""
-    if e == old:
-        return new
-    match e:
-        case Quant() | s.SetComp() | s.SetImage() | Ident() | s.Bool():
-            return e
-        case _:
-            from .meta import _map_children
-
-            return _map_children(e, lambda c: _replace_term(c, old, new))
-
-
-class _Search:
-    def __init__(self, initial: list[Expr], budget: Budget, deadline: float):
-        self.initial = initial
+class _Search(_Tableau):
+    def __init__(self, sequent: Sequent, budget: Budget, deadline: float):
+        super().__init__(sequent)
         self.budget = budget
         self.deadline = deadline
-        self.entries: list[Expr] = []
-        self.meta_free: list[bool] = []
-        self.exp_cache: dict[int, Optional[tuple]] = {}
-        self.subst = _Subst()
         self.trace: list[str] = []
         self.counter = 0
         self.cut = False
@@ -563,15 +660,10 @@ class _Search:
         self.closures = 0
 
     def run(self, depth: int) -> bool:
-        self.entries = []
-        self.meta_free = []
-        self.exp_cache = {}
-        self.subst = _Subst()
+        self.restart()
         self.trace = []
         self.counter = 0
         self.cut = False
-        for e in self.initial:
-            self._add(e)
         branch = _Branch(list(range(len(self.entries))), set(), {}, depth)
         return self._prove(branch, [])
 
@@ -586,33 +678,11 @@ class _Search:
     def _untrace(self, mark: int) -> None:
         del self.trace[mark - 1 :]
 
-    def _add(self, e: Expr) -> int:
-        self.entries.append(e)
-        self.meta_free.append(
-            not any(n.startswith("?") for n in free_identifiers(e))
-        )
-        return len(self.entries) - 1
-
     def _pop(self, k: int) -> None:
         for i in range(len(self.entries) - k, len(self.entries)):
             self.exp_cache.pop(i, None)
         del self.entries[len(self.entries) - k :]
         del self.meta_free[len(self.meta_free) - k :]
-
-    def _resolved(self, i: int) -> Expr:
-        if self.meta_free[i]:
-            return self.entries[i]
-        return self.subst.resolve(self.entries[i])
-
-    def _expansion_of(self, i: int):
-        if self.meta_free[i]:
-            if i not in self.exp_cache:
-                self.exp_cache[i] = _expansion(self.entries[i])
-            return self.exp_cache[i]
-        return _expansion(self.subst.resolve(self.entries[i]))
-
-    def _text(self, e: Expr) -> str:
-        return pretty(self.subst.resolve(e))
 
     def _prove(self, cur: _Branch, rest: list[_Branch]) -> bool:
         self._check_time()
@@ -636,7 +706,7 @@ class _Search:
         full = len(self.subst.trail) != cur.version
         news = items if full else items[cur.checked :]
         if not full and any(
-            isinstance(self._resolved(i), s.Eq) and self._ground_id(i) for i in news
+            isinstance(e, s.Eq) and _ground(e) for e in map(self._resolved, news)
         ):
             # a new ground equality can make old pairs congruent
             full = True
@@ -667,14 +737,14 @@ class _Search:
                     self.closures += 1
                     return self._continue(rest)
         # congruence closures (no bindings: commit)
-        cc = self._congruence(cur)
+        cc = self._congruence(cur.items)
         if cc is not None:
             for i in news:
                 e = self._resolved(i)
                 if (
                     isinstance(e, Neg)
                     and isinstance(e.item, s.Eq)
-                    and self._ground_id(i)
+                    and _ground(e)
                     and cc.equal(e.item.left, e.item.right)
                 ):
                     self._emit(f"close-eq\t{i}\t")
@@ -687,8 +757,8 @@ class _Search:
                         isinstance(a, Neg)
                         and isinstance(a.item, _ATOMS)
                         and isinstance(b, _ATOMS)
-                        and self._ground_id(x)
-                        and self._ground_id(y)
+                        and _ground(a)
+                        and _ground(b)
                         and cc.equal_atom(a.item, b)
                     ):
                         self._emit(f"close\t{x}\t{y}\t")
@@ -696,59 +766,24 @@ class _Search:
                         return self._continue(rest)
         # binding closures: backtrackable choice points (congruence-assisted)
         for i in news:
-            e = self._resolved(i)
-            if isinstance(e, Neg) and isinstance(e.item, s.Eq):
-                mark_s = self.subst.mark()
-                if self.subst.unify(e.item.left, e.item.right, cc):
-                    binds = self._bindings_since(mark_s)
-                    mark_t = self._emit(f"close-eq\t{i}\t{binds}")
-                    self.closures += 1
-                    if self._continue(rest):
-                        return True
-                    self._untrace(mark_t)
-                self.subst.undo(mark_s)
+            found = _complements(self._resolved(i))
+            if found and self._close_binding(rest, cc, found, f"close-eq\t{i}"):
+                return True
         for i, j in pairs:
             ei, ej = self._resolved(i), self._resolved(j)
-            for a, b in ((ei, ej), (ej, ei)):
-                if isinstance(a, Neg) and not a.item == b:
-                    mark_s = self.subst.mark()
-                    if self.subst.unify(a.item, b, cc):
-                        binds = self._bindings_since(mark_s)
-                        mark_t = self._emit(f"close\t{i}\t{j}\t{binds}")
-                        self.closures += 1
-                        if self._continue(rest):
-                            return True
-                        self._untrace(mark_t)
-                    self.subst.undo(mark_s)
+            found = [(a, b) for a, b in _complements(ei, ej) if a != b]
+            if found and self._close_binding(rest, cc, found, f"close\t{i}\t{j}"):
+                return True
         return None
 
-    def _bindings_since(self, mark: int) -> str:
-        new = self.subst.trail[mark:]
-        return "; ".join(
-            f"{k} := {pretty(self.subst.resolve(self.subst.map[k]))}" for k in sorted(new)
-        )
-
-    def _ground_id(self, i: int) -> bool:
-        if self.meta_free[i]:
-            return True
-        return not any(
-            n.startswith("?") for n in free_identifiers(self.subst.resolve(self.entries[i]))
-        )
-
-    def _ground(self, e: Expr) -> bool:
-        return not any(
-            n.startswith("?") for n in free_identifiers(self.subst.resolve(e))
-        )
-
-    def _congruence(self, cur: _Branch) -> Optional[_Congruence]:
-        eqs: list[tuple[Expr, Expr]] = []
-        for i in cur.items:
-            e = self._resolved(i)
-            if isinstance(e, s.Eq) and self._ground_id(i):
-                eqs.append((e.left, e.right))
-        if not eqs:
-            return None
-        return _Congruence(eqs)
+    def _close_binding(self, rest, cc, pairs, head: str) -> bool:
+        for binds in self._closings(pairs, cc):
+            mark_t = self._emit(f"{head}\t{binds}")
+            self.closures += 1
+            if self._continue(rest):
+                return True
+            self._untrace(mark_t)
+        return False
 
     def _try_expansions(self, cur: _Branch, rest: list[_Branch]) -> bool:
         # invertible non-branching rules first, then delta, rewrite, beta;
@@ -762,7 +797,9 @@ class _Search:
                 if (i, exp[0]) in cur.expanded:
                     continue
                 return self._apply(cur, rest, i, exp)
-        rewrite = self._find_rewrite(cur)
+        rewrite = self._find_rewrite(
+            cur.items, (i for i in cur.items if (i, "rewrite") not in cur.expanded)
+        )
         if rewrite is not None:
             i, formula = rewrite
             return self._apply_parts(cur, rest, i, "rewrite", [formula])
@@ -794,36 +831,16 @@ class _Search:
         rule, kind, payload = exp
         if kind in ("alpha", "beta"):
             return self._apply_parts(cur, rest, i, rule, payload, branch=kind == "beta")
-        x, body, negate = payload
-        if kind == "gamma":
-            self.counter += 1
-            mv = Ident(f"?{self.counter}")
-            inst = s.substitute(body, x, mv)
-            if negate:
-                inst = Neg(inst)
-            nid = self._add(inst)
-            mark_t = self._emit(f"gamma\t{i}\t{mv.name}\t{nid}:{self._text(inst)}")
-            self.expansions += 1
-            nxt = cur.extend([nid], None, 1, len(self.subst.trail), gamma_of=i)
-            if self._prove(nxt, rest):
-                return True
-            self._untrace(mark_t)
-            self._pop(1)
-            self.counter -= 1
-            return False
-        # delta
         self.counter += 1
-        sk_name = f"!sk{self.counter}"
-        resolved_body = self.subst.resolve(body)
-        mvs = sorted(n for n in free_identifiers(resolved_body) if n.startswith("?"))
-        sk: Expr = OpApp(sk_name, tuple(Ident(m) for m in mvs)) if mvs else Ident(sk_name)
-        inst = s.substitute(body, x, sk)
-        if negate:
-            inst = Neg(inst)
+        name = f"?{self.counter}" if kind == "gamma" else f"!sk{self.counter}"
+        inst = self._instance(exp, name)
         nid = self._add(inst)
-        mark_t = self._emit(f"delta\t{i}\t{sk_name}\t{nid}:{self._text(inst)}")
+        mark_t = self._emit(f"{rule}\t{i}\t{name}\t{nid}:{self._text(inst)}")
         self.expansions += 1
-        nxt = cur.extend([nid], (i, rule), 1, len(self.subst.trail))
+        if kind == "gamma":
+            nxt = cur.extend([nid], None, 1, len(self.subst.trail), gamma_of=i)
+        else:
+            nxt = cur.extend([nid], (i, rule), 1, len(self.subst.trail))
         if self._prove(nxt, rest):
             return True
         self._untrace(mark_t)
@@ -852,49 +869,14 @@ class _Search:
         self._pop(len(ids))
         return False
 
-    def _find_rewrite(self, cur: _Branch) -> Optional[tuple[int, Expr]]:
-        """One bounded rewrite: re-expose a set shape hidden behind branch
-        equalities in a membership literal, once per principal per branch."""
-        cc = self._congruence(cur)
-        if cc is None:
-            return None
-        shaped = [t for t in list(cc.pool) if isinstance(t, _SET_SHAPES)]
-        if not shaped:
-            return None
-        present = {self._resolved(i) for i in cur.items}
-        for i in cur.items:
-            if (i, "rewrite") in cur.expanded:
-                continue
-            e = self._resolved(i)
-            inner = e.item if isinstance(e, Neg) else e
-            if not isinstance(inner, s.In) or isinstance(inner.set, _SET_SHAPES):
-                continue
-            if not self._ground_id(i):
-                continue
-            for t in shaped:
-                if cc.equal(inner.set, t):
-                    new_atom = s.In(inner.item, t)
-                    out: Expr = Neg(new_atom) if isinstance(e, Neg) else new_atom
-                    if out in present:
-                        continue
-                    return i, out
-        return None
-
 
 def prove(sequent: Sequent, budget: Budget = Budget()) -> ProverOutcome:
     """Attempt to close a tableau for the sequent within the budget."""
-    bad: set[str] = set()
-    for e in (*sequent.hypotheses, sequent.goal):
-        bad |= _reserved_names(e)
-    for name in sequent.constants:
-        if name.startswith("?") or name.startswith("!"):
-            bad.add(name)
+    bad = _reserved_names(sequent)
     if bad:
-        return Malformed(f"reserved names in sequent: {sorted(bad)}")
-    initial = [normalize(h) for h in sequent.hypotheses]
-    initial.append(Neg(normalize(sequent.goal)))
+        return Malformed(f"reserved names in sequent: {bad}")
     deadline = time.monotonic() + budget.timeout_ms / 1000.0
-    search = _Search(initial, budget, deadline)
+    search = _Search(sequent, budget, deadline)
     iterations = 0
     try:
         for depth in range(1, budget.max_depth + 1):
@@ -926,14 +908,12 @@ class ReplayResult:
 
 def replay_trace(sequent: Sequent, trace: str) -> ReplayResult:
     """Re-apply every rule in the trace and confirm all branches close."""
-    entries: list[Expr] = [normalize(h) for h in sequent.hypotheses]
-    entries.append(Neg(normalize(sequent.goal)))
-    subst = _Subst()
-
-    def text(e: Expr) -> str:
-        return pretty(subst.resolve(e))
-
-    stack: list[list[int]] = [list(range(len(entries)))]
+    bad = _reserved_names(sequent)
+    if bad:
+        return ReplayResult(False, f"reserved names in sequent: {bad}")
+    t = _Tableau(sequent)
+    stack: list[list[int]] = [list(range(len(t.entries)))]
+    skolems: set[str] = set()
 
     def fail(line_no: int, msg: str) -> ReplayResult:
         return ReplayResult(False, f"line {line_no}: {msg}")
@@ -949,193 +929,67 @@ def replay_trace(sequent: Sequent, trace: str) -> ReplayResult:
             principal = int(fields[1])
         except (IndexError, ValueError):
             return fail(no, "malformed principal index")
-        if principal not in branch and rule not in ():
+        if principal not in branch:
             return fail(no, f"principal {principal} not on the open branch")
-        e = subst.resolve(entries[principal])
+        e = t._resolved(principal)
 
         if rule == "close-false":
             if e not in (s.FALSE, Neg(s.TRUE)):
                 return fail(no, "close-false on a non-falsum formula")
             stack.pop()
             continue
-        if rule == "close-eq":
-            if not (isinstance(e, Neg) and isinstance(e.item, s.Eq)):
-                return fail(no, "close-eq on a non-equality")
-            cc = _replay_congruence(entries, branch, subst)
-            mark = subst.mark()
-            if subst.unify(e.item.left, e.item.right, cc):
-                binds = _replay_bindings(subst, mark)
-                if binds != (fields[2] if len(fields) > 2 else ""):
-                    return fail(no, "unifier bindings do not match")
-                stack.pop()
-                continue
-            subst.undo(mark)
-            return fail(no, "equality closure does not hold")
-        if rule == "close":
-            try:
-                other = int(fields[2])
-            except (IndexError, ValueError):
-                return fail(no, "malformed closure pair")
-            if other not in branch:
-                return fail(no, f"formula {other} not on the open branch")
-            f2 = subst.resolve(entries[other])
-            cc = _replay_congruence(entries, branch, subst)
-            closed = False
-            for a, b in ((e, f2), (f2, e)):
-                if isinstance(a, Neg):
-                    mark = subst.mark()
-                    if subst.unify(a.item, b, cc):
-                        binds = _replay_bindings(subst, mark)
-                        if binds != (fields[3] if len(fields) > 3 else ""):
-                            subst.undo(mark)
-                            return fail(no, "unifier bindings do not match")
-                        closed = True
-                        break
-                    subst.undo(mark)
-            if not closed:
-                return fail(no, "formulas are not complementary")
+        if rule in ("close", "close-eq"):
+            if rule == "close-eq":
+                pairs = _complements(e)
+                recorded = fields[2:3]
+            else:
+                try:
+                    other = int(fields[2])
+                except (IndexError, ValueError):
+                    return fail(no, "malformed closure pair")
+                if other not in branch:
+                    return fail(no, f"formula {other} not on the open branch")
+                pairs = _complements(e, t._resolved(other))
+                recorded = fields[3:4]
+            binds = recorded[0] if recorded else ""
+            # stopping at the first pair that gives these bindings keeps them made
+            if binds not in t._closings(pairs, t._congruence(branch)):
+                return fail(no, "no unifier closes the branch with the recorded bindings")
             stack.pop()
             continue
 
-        # expansion rules
-        if rule == "gamma":
-            exp = _expansion(e)
-            if exp is None or exp[1] != "gamma":
-                return fail(no, "gamma on a non-universal formula")
-            x, body, negate = exp[2]
-            mv = fields[2]
-            if not mv.startswith("?"):
-                return fail(no, "malformed metavariable name")
-            inst = s.substitute(body, x, Ident(mv))
-            if negate:
-                inst = Neg(inst)
-            if not _replay_intro(entries, fields[3:4], [inst], text):
-                return fail(no, "introduced formula does not match the rule")
-            branch.append(len(entries) - 1)
-            continue
-        if rule == "delta":
-            exp = _expansion(e)
-            if exp is None or exp[1] != "delta":
-                return fail(no, "delta on a non-existential formula")
-            x, body, negate = exp[2]
-            sk_name = fields[2]
-            if not sk_name.startswith("!"):
-                return fail(no, "malformed skolem name")
-            resolved_body = subst.resolve(body)
-            mvs = sorted(n for n in free_identifiers(resolved_body) if n.startswith("?"))
-            sk: Expr = (
-                OpApp(sk_name, tuple(Ident(m) for m in mvs)) if mvs else Ident(sk_name)
-            )
-            inst = s.substitute(body, x, sk)
-            if negate:
-                inst = Neg(inst)
-            if not _replay_intro(entries, fields[3:4], [inst], text):
-                return fail(no, "introduced formula does not match the rule")
-            branch.append(len(entries) - 1)
-            continue
         if rule == "rewrite":
-            inner = e.item if isinstance(e, Neg) else e
-            if not isinstance(inner, (s.In, OpApp, s.Subseteq)):
-                return fail(no, "rewrite on an unsupported literal")
-            intro = fields[2]
-            nid_s, _, ftext = intro.partition(":")
-            cc = _replay_congruence(entries, branch, subst)
-            if cc is None:
-                return fail(no, "rewrite without branch equalities")
-            target = _replay_find_rewrite(entries, branch, subst, e)
-            if target is None or text(target) != ftext:
+            found = t._find_rewrite(branch, [principal])
+            if found is None:
                 return fail(no, "rewrite target not justified by branch equalities")
-            new_inner = target.item if isinstance(target, Neg) else target
-            if not cc.equal_atom(inner, new_inner):
-                return fail(no, "rewrite not congruent under branch equalities")
-            if int(nid_s) != len(entries):
-                return fail(no, "unexpected introduced index")
-            entries.append(target)
-            branch.append(len(entries) - 1)
-            continue
-
-        exp = _expansion(e)
-        if exp is None or exp[0] != rule:
-            return fail(no, f"rule {rule} does not apply to the principal formula")
-        parts = exp[2]
-        if exp[1] == "beta":
-            # the search continues with the second part and defers the first
-            if len(fields) != 4:
-                return fail(no, "beta must introduce exactly two formulas")
-            if not _replay_intro(entries, fields[2:3], [parts[0]], text):
-                return fail(no, "first branch formula does not match")
-            first_id = len(entries) - 1
-            if not _replay_intro(entries, fields[3:4], [parts[1]], text):
-                return fail(no, "second branch formula does not match")
-            second_id = len(entries) - 1
-            deferred = list(branch)
-            deferred.append(first_id)
-            branch.append(second_id)
-            stack.insert(len(stack) - 1, deferred)
-            continue
-        if not _replay_intro(entries, fields[2:], parts, text):
+            kind, parts, intro = "alpha", [found[1]], fields[2:]
+        else:
+            exp = t._expansion_of(principal)
+            if exp is None or exp[0] != rule:
+                return fail(no, f"rule {rule} does not apply to the principal formula")
+            kind, parts, intro = exp[1], exp[2], fields[2:]
+            if kind in ("gamma", "delta"):
+                name, intro = fields[2] if len(fields) > 2 else "", fields[3:]
+                if not name.startswith("?" if kind == "gamma" else "!"):
+                    return fail(no, "malformed introduced name")
+                if kind == "delta":
+                    if name in skolems:
+                        return fail(no, f"skolem {name} is not fresh")
+                    skolems.add(name)
+                parts = [t._instance(exp, name)]
+        if intro != [f"{len(t.entries) + k}:{t._text(p)}" for k, p in enumerate(parts)]:
             return fail(no, "introduced formulas do not match the rule")
-        branch.extend(range(len(entries) - len(parts), len(entries)))
+        ids = [t._add(p) for p in parts]
+        if kind == "beta":
+            # the search continues with the second part and defers the first
+            stack.insert(len(stack) - 1, branch + [ids[0]])
+            branch.append(ids[1])
+        else:
+            branch.extend(ids)
 
     if stack:
         return ReplayResult(False, f"{len(stack)} branch(es) left open")
     return ReplayResult(True)
-
-
-def _replay_bindings(subst: _Subst, mark: int) -> str:
-    new = subst.trail[mark:]
-    return "; ".join(
-        f"{k} := {pretty(subst.resolve(subst.map[k]))}" for k in sorted(new)
-    )
-
-
-def _replay_find_rewrite(entries, branch, subst, e: Expr) -> Optional[Expr]:
-    eqs: list[tuple[Expr, Expr]] = []
-    ground = lambda x: not any(  # noqa: E731
-        n.startswith("?") for n in free_identifiers(subst.resolve(x))
-    )
-    for i in branch:
-        f = subst.resolve(entries[i])
-        if isinstance(f, s.Eq) and ground(f) and f.left != f.right:
-            eqs.append((f.left, f.right))
-            eqs.append((f.right, f.left))
-    inner = e.item if isinstance(e, Neg) else e
-    present = {subst.resolve(entries[i]) for i in branch}
-    for l, r in eqs:
-        new_inner = _replace_term(inner, l, r)
-        if new_inner == inner:
-            continue
-        out: Expr = Neg(new_inner) if isinstance(e, Neg) else new_inner
-        if out in present:
-            continue
-        return out
-    return None
-
-
-def _replay_congruence(entries, branch, subst) -> Optional[_Congruence]:
-    eqs = []
-    for i in branch:
-        e = subst.resolve(entries[i])
-        if isinstance(e, s.Eq) and not any(
-            n.startswith("?") for n in free_identifiers(e)
-        ):
-            eqs.append((e.left, e.right))
-    return _Congruence(eqs) if eqs else None
-
-
-def _replay_intro(entries, fields, parts, text) -> bool:
-    if len(fields) != len(parts):
-        return False
-    for f, p in zip(fields, parts):
-        nid_s, _, ftext = f.partition(":")
-        try:
-            nid = int(nid_s)
-        except ValueError:
-            return False
-        if nid != len(entries) or text(p) != ftext:
-            return False
-        entries.append(p)
-    return True
 
 
 def check_trace(sequent: Sequent, trace: str) -> bool:

@@ -211,6 +211,42 @@ def children(e: Expr) -> Iterator[Expr]:
             raise TypeError(f"unknown expression node {type(e).__name__}")
 
 
+def map_children(e: Expr, f) -> Expr:
+    """The same node with f applied to every direct subexpression."""
+    match e:
+        case Ident() | Bool():
+            return e
+        case OpApp(n, args):
+            return OpApp(n, tuple(f(a) for a in args))
+        case FnApp(fn, arg):
+            return FnApp(f(fn), f(arg))
+        case Quant(kind, binders, body):
+            return Quant(
+                kind,
+                tuple(
+                    Binder(b.name, f(b.domain) if b.domain is not None else None)
+                    for b in binders
+                ),
+                f(body),
+            )
+        case Neg(item):
+            return Neg(f(item))
+        case In(i, st):
+            return In(f(i), f(st))
+        case NotIn(i, st):
+            return NotIn(f(i), f(st))
+        case PowerSet(st):
+            return PowerSet(f(st))
+        case SetComp(var, domain, pred):
+            return SetComp(var, f(domain), f(pred))
+        case SetImage(expr, var, domain):
+            return SetImage(f(expr), var, f(domain))
+        case FuncSpace(dom, cod):
+            return FuncSpace(f(dom), f(cod))
+        case _:
+            return type(e)(f(e.left), f(e.right))  # type: ignore[attr-defined]
+
+
 @lru_cache(maxsize=262144)
 def free_identifiers(e: Expr) -> frozenset[str]:
     """Names with a free occurrence in e (operator names included)."""

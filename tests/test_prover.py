@@ -4,6 +4,7 @@ rules, trace replay, budgets."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import rand_prop_sequent, truth_table_valid
 from proofmgr.parser import parse_expression as pe
@@ -20,7 +21,7 @@ from proofmgr.prover import (
     sequent_from_obligation,
 )
 from proofmgr.meta import Def, New, Obligation, fact
-from proofmgr.syntax import Ident, Implies, In, Neg, Quant, Binder
+from proofmgr.syntax import Ident, Implies, In, Neg, OpApp, Quant, Binder
 
 
 BIG = Budget(max_depth=60, timeout_ms=20000, gamma_reuse=4)
@@ -277,6 +278,98 @@ class TestTraces:
         assert out.trace == "alpha\t0\t1:~P\t2:~(~P)\nclose\t1\t2\t\n"
 
 
+# A membership reaches a comprehension only through two equalities: the
+# rewrite rule works on the whole congruence class, so replay must too.
+EQ_CHAIN = Sequent(
+    ("A", "B", "S", "P", "c"),
+    (pe("A = B"), pe(r"B = {x \in S : P(x)}"), pe(r"c \in A")),
+    pe("P(c)"),
+)
+
+
+class TestReplayAgreesWithSearch:
+    def test_rewrite_through_equality_chain_replays(self):
+        out = proved(EQ_CHAIN)
+        assert out.trace.startswith("rewrite\t")
+        result = replay_trace(EQ_CHAIN, out.trace)
+        assert result.ok, result.error
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (r"{x \in S : P(x)}", "SUBSET S"),  # a shape outside the class
+            (r"{x \in S : P(x)}", "[S -> S]"),
+            ("rewrite\t2\t", "rewrite\t0\t"),  # principal is an equality
+            ("rewrite\t2\t", "rewrite\t3\t"),  # principal is the negated goal
+        ],
+    )
+    def test_mutated_rewrite_line_rejected(self, old, new):
+        lines = proved(EQ_CHAIN).trace.splitlines()
+        assert old in lines[0]
+        lines[0] = lines[0].replace(old, new)
+        result = replay_trace(EQ_CHAIN, "\n".join(lines) + "\n")
+        assert not result.ok
+        assert result.error.startswith("line 1:"), result.error
+
+    def test_reused_skolem_rejected(self):
+        # one witness for two existentials would prove an invalid sequent
+        seq = Sequent(
+            ("P", "Q"),
+            (pe(r"\E x : P(x)"), pe(r"\E x : Q(x)")),
+            pe(r"\E x : P(x) /\ Q(x)"),
+        )
+        trace = (
+            "delta\t0\t!sk1\t3:P(!sk1)\n"
+            "delta\t1\t!sk1\t4:Q(!sk1)\n"
+            "gamma\t2\t?2\t5:~(P(?2) /\\ Q(?2))\n"
+            "beta\t5\t6:~P(?2)\t7:~Q(?2)\n"
+            "close\t7\t4\t?2 := !sk1\n"
+            "close\t6\t3\t\n"
+        )
+        result = replay_trace(seq, trace)
+        assert not result.ok
+        assert result.error.startswith("line 2:"), result.error
+
+
+# Set shapes a membership can reach through an equality chain, each with the
+# extra hypotheses and the goal that the unfolded membership proves.
+CHAIN_SHAPES = {
+    "comprehension": (r"{x \in S : P(x)}", (), "P(c)"),
+    "powerset": ("SUBSET S", (), r"c \subseteq S"),
+    "function space": ("[S -> T]", (r"d \in S",), r"c[d] \in T"),
+    "image": (r"{f[x] : x \in S}", (), r"\E y \in S : c = f[y]"),
+}
+NOISE = ("Q1", "Q1 => Q2", r"Q2 \/ Q3", "~Q4", r"Q1 /\ Q3")
+
+
+@st.composite
+def chain_sequents(draw):
+    r"""c \in X0 with X0 = X1 = ... = Xk = shape, each equality in either
+    orientation, plus propositional noise, hypotheses in any order."""
+    k = draw(st.integers(1, 4))
+    shape, extra, goal = CHAIN_SHAPES[draw(st.sampled_from(sorted(CHAIN_SHAPES)))]
+    names = [f"X{i}" for i in range(k + 1)]
+    hyps = [
+        f"{a} = {b}" if draw(st.booleans()) else f"{b} = {a}"
+        for a, b in zip(names, names[1:] + [shape])
+    ]
+    hyps += [r"c \in X0", *extra, *draw(st.lists(st.sampled_from(NOISE), max_size=3))]
+    order = draw(st.permutations(range(len(hyps))))
+    return Sequent((), tuple(pe(hyps[i]) for i in order), pe(goal))
+
+
+class TestReplayProperty:
+    # small depth and a timeout no run comes near: outcomes depend only on
+    # the sequent, and the examples are the same on every run
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(chain_sequents())
+    def test_every_proved_equality_chain_trace_replays(self, seq):
+        out = prove(seq, Budget(max_depth=6, timeout_ms=60000, gamma_reuse=2))
+        if isinstance(out, Proved):
+            result = replay_trace(seq, out.trace)
+            assert result.ok, (out.trace, result.error)
+
+
 class TestBudgets:
     def test_fields_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -320,6 +413,12 @@ class TestMalformed:
     def test_reserved_names_rejected(self):
         out = prove(Sequent((), (), In(Ident("?1"), Ident("S"))))
         assert isinstance(out, Malformed)
+
+    def test_replay_rejects_reserved_names(self):
+        # a sequent constant spelled like a metavariable must not be bindable
+        seq = Sequent(("P", "c"), (OpApp("P", (Ident("?1"),)),), pe("P(c)"))
+        result = replay_trace(seq, "close\t1\t0\t?1 := c\n")
+        assert not result.ok and "reserved names" in result.error
 
     def test_sequent_from_unfiltered_obligation_rejected(self):
         o = Obligation((New("x"), fact(pe("P(x)"), hidden=True)), pe("P(x)"))
