@@ -9,6 +9,9 @@ error, 4 internal error.  With several files the worst exit code wins.
 Leaves are proved independently and may be dispatched to a worker pool
 (--jobs); report assembly preserves derivation order regardless of
 completion order, so output is byte-identical for a fixed configuration.
+A leaf is reported ``proved`` only when its trace replays
+(``replay_trace``); a trace that does not replay makes the leaf ``unknown``
+and is named on standard error with the replay's first failure.
 """
 
 from __future__ import annotations
@@ -24,7 +27,15 @@ from typing import Optional
 from .engine import check_theorem
 from .meta import MetaError
 from .parser import ParseError, parse_theorem
-from .prover import Budget, Malformed, Proved, Unknown, prove, sequent_from_obligation
+from .prover import (
+    Budget,
+    Malformed,
+    Proved,
+    Unknown,
+    prove,
+    replay_trace,
+    sequent_from_obligation,
+)
 from .report import build_report, prepared_obligation, write_embeddings, write_report
 
 EXIT_BY_STATUS = {
@@ -59,17 +70,21 @@ class RunConfig:
 
 
 def _prove_leaf(args):
+    """(outcome, millis, trace if wanted, replay error) of one leaf."""
     sequent, budget, want_trace = args
     start = perf_counter()
     outcome = prove(sequent, budget)
     millis = (perf_counter() - start) * 1000.0
     match outcome:
         case Proved(trace):
-            return "proved", millis, trace if want_trace else None
+            replay = replay_trace(sequent, trace)
+            if not replay.ok:
+                return "unknown", millis, None, replay.error
+            return "proved", millis, trace if want_trace else None, None
         case Unknown(reason, _):
-            return "unknown", millis, None
+            return "unknown", millis, None, None
         case Malformed(reason):
-            return "malformed", millis, None
+            return "malformed", millis, None, None
     raise AssertionError
 
 
@@ -98,6 +113,9 @@ def check_file(path: str, config: RunConfig, sink) -> int:
     for warning in checked.warnings:
         print(f"{path}: warning: {warning}", file=sys.stderr)
 
+    # the prover, the report and the embeddings share one prepared
+    # obligation per leaf
+    prepared = [prepared_obligation(r) for r in checked.records]
     outcomes: Optional[dict[int, tuple[str, Optional[float]]]] = None
     traces: dict[int, str] = {}
     if config.prove_leaves and checked.meaningful:
@@ -105,9 +123,7 @@ def check_file(path: str, config: RunConfig, sink) -> int:
         for idx, record in enumerate(checked.records):
             if record.omitted or not _selected(".".join(record.path), config.only):
                 continue
-            sequent = sequent_from_obligation(
-                prepared_obligation(record, expand=True)
-            )
+            sequent = sequent_from_obligation(prepared[idx])
             tasks.append((idx, (sequent, config.budget(), config.emit_traces is not None)))
         outcomes = {}
         if config.jobs > 1 and len(tasks) > 1:
@@ -115,15 +131,25 @@ def check_file(path: str, config: RunConfig, sink) -> int:
                 results = list(pool.map(_prove_leaf, (t for _, t in tasks)))
         else:
             results = [_prove_leaf(t) for _, t in tasks]
-        for (idx, _), (outcome, millis, trace) in zip(tasks, results):
+        for (idx, _), (outcome, millis, trace, replay_error) in zip(tasks, results):
             outcomes[idx] = (outcome, millis if config.timings else None)
             if trace is not None:
                 traces[idx] = trace
+            if replay_error is not None:
+                leaf = ".".join(checked.records[idx].path) or "(root)"
+                print(
+                    f"{path}: leaf {leaf}: trace does not replay: {replay_error}",
+                    file=sys.stderr,
+                )
     elif config.prove_leaves:
         outcomes = {}
 
     report = build_report(
-        theorem.name, checked, outcomes, expand_filtered=config.expand_filtered
+        theorem.name,
+        checked,
+        outcomes,
+        expand_filtered=config.expand_filtered,
+        prepared=prepared,
     )
 
     if config.emit_traces:
@@ -132,10 +158,12 @@ def check_file(path: str, config: RunConfig, sink) -> int:
         for idx, trace in traces.items():
             (trace_dir / f"leaf-{idx}.trace").write_text(trace, encoding="utf-8")
     if config.emit_embeddings:
-        obligations = [prepared_obligation(r) for r in checked.records]
         Path(config.emit_embeddings).write_text(
-            write_embeddings(obligations), encoding="utf-8"
+            write_embeddings(prepared), encoding="utf-8"
         )
+    # a run's memory peaks while the report text is rendered; the prepared
+    # obligations are not needed for it
+    del prepared
 
     if config.list_obligations:
         for leaf in report.leaves:

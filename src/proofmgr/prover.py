@@ -161,20 +161,33 @@ class _Subst:
     def __init__(self) -> None:
         self.map: dict[str, Expr] = {}
         self.trail: list[str] = []
+        # bumped by every change to map; never repeats, so a form resolved
+        # at one version is current exactly while the version is unchanged
+        self.version = 0
 
     def mark(self) -> int:
         return len(self.trail)
 
     def undo(self, mark: int) -> None:
+        if len(self.trail) > mark:
+            self.version += 1
         while len(self.trail) > mark:
             del self.map[self.trail.pop()]
 
     def bind(self, name: str, value: Expr) -> None:
         self.map[name] = value
         self.trail.append(name)
+        self.version += 1
 
     def resolve(self, e: Expr) -> Expr:
-        if isinstance(e, Ident) and e.name in self.map:
+        """e with every bound metavariable replaced by its resolved value.
+
+        Returns e itself when no bound metavariable occurs free in it, and
+        rebuilds only the subterms in which one does, so unchanged subterms
+        stay shared with e."""
+        if not self.map or self.map.keys().isdisjoint(free_identifiers(e)):
+            return e
+        if isinstance(e, Ident):
             return self.resolve(self.map[e.name])
         return map_children(e, self.resolve)
 
@@ -526,6 +539,7 @@ class _Tableau:
         self.entries: list[Expr] = []
         self.meta_free: list[bool] = []
         self.exp_cache: dict[int, Optional[tuple]] = {}
+        self.resolved_cache: dict[int, tuple[int, Expr]] = {}
         self.subst = _Subst()
         for e in self.initial:
             self._add(e)
@@ -536,16 +550,25 @@ class _Tableau:
         return len(self.entries) - 1
 
     def _resolved(self, i: int) -> Expr:
+        """Entry i under the current substitution.  The form is memoised
+        with the substitution's version and reused until a bind or an
+        effective undo changes the version."""
         if self.meta_free[i]:
             return self.entries[i]
-        return self.subst.resolve(self.entries[i])
+        version = self.subst.version
+        hit = self.resolved_cache.get(i)
+        if hit is not None and hit[0] == version:
+            return hit[1]
+        e = self.subst.resolve(self.entries[i])
+        self.resolved_cache[i] = (version, e)
+        return e
 
     def _expansion_of(self, i: int):
         if self.meta_free[i]:
             if i not in self.exp_cache:
                 self.exp_cache[i] = _expansion(self.entries[i])
             return self.exp_cache[i]
-        return _expansion(self.subst.resolve(self.entries[i]))
+        return _expansion(self._resolved(i))
 
     def _text(self, e: Expr) -> str:
         return pretty(self.subst.resolve(e))
@@ -681,6 +704,7 @@ class _Search(_Tableau):
     def _pop(self, k: int) -> None:
         for i in range(len(self.entries) - k, len(self.entries)):
             self.exp_cache.pop(i, None)
+            self.resolved_cache.pop(i, None)
         del self.entries[len(self.entries) - k :]
         del self.meta_free[len(self.meta_free) - k :]
 

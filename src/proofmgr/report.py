@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .engine import CheckedTheorem, LeafObligationRecord
 from .meta import Obligation, embed, expand_all_usable, filter_obligation, render_obligation
@@ -63,12 +63,16 @@ def build_report(
     checked: CheckedTheorem,
     outcomes: Optional[dict[int, tuple[str, Optional[float]]]],
     expand_filtered: bool = True,
+    prepared: Optional[Sequence[Obligation]] = None,
 ) -> ObligationReport:
     """Assemble the report; outcomes maps leaf index to (outcome, millis),
-    None meaning a structure-only run."""
+    None meaning a structure-only run.  prepared, when given, holds
+    prepared_obligation(record) of every record, reused instead of computed
+    again when expand_filtered is on."""
+    if prepared is None or not expand_filtered:
+        prepared = [prepared_obligation(r, expand_filtered) for r in checked.records]
     leaves = []
     for idx, record in enumerate(checked.records):
-        prepared = prepared_obligation(record, expand_filtered)
         outcome, millis = (None, None)
         if outcomes is not None and idx in outcomes:
             outcome, millis = outcomes[idx]
@@ -79,8 +83,8 @@ def build_report(
                 kind=record.kind,
                 omitted=record.omitted,
                 obligation=render_obligation(record.obligation),
-                filtered=render_obligation(prepared),
-                embedding=embed(prepared),
+                filtered=render_obligation(prepared[idx]),
+                embedding=embed(prepared[idx]),
                 outcome=outcome,
                 millis=millis,
             )

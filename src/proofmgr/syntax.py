@@ -2,7 +2,11 @@
 
 Nodes are immutable and hashable; source positions are carried on every node
 but excluded from equality so that structurally identical expressions compare
-equal regardless of where they were parsed.
+equal regardless of where they were parsed.  Each node (and each ``Binder``)
+computes its structural hash on first use and caches it on the instance, so
+hashing a term costs O(1) per node once.  String hashes are salted per
+process, so the cache is left out of a node's pickled (and copied) state and
+recomputed wherever the node is loaded.
 
 Scoping: quantifiers, set comprehensions and image sets bind their binder
 names in their body only; binder domains are scoped to the enclosing context
@@ -165,6 +169,32 @@ class FuncSpace(Expr):
 @dataclass(frozen=True)
 class Bool(Expr):
     value: bool
+
+
+def _cache_hash(cls: type) -> None:
+    """Wrap cls's dataclass-generated structural hash so it is computed once
+    per instance, and keep the cached value out of the pickled state."""
+    structural = cls.__hash__
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = structural(self)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+    cls.__hash__ = __hash__  # type: ignore[method-assign]
+    cls.__getstate__ = __getstate__  # type: ignore[attr-defined]
+
+
+for _cls in (Binder, *Expr.__subclasses__()):
+    _cache_hash(_cls)
 
 
 TRUE = Bool(True)

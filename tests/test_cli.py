@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 
 from helpers import cantor_text
+from proofmgr import cli
 from proofmgr.cli import main
+from proofmgr.prover import Proved, prove
 
 DATA = Path(__file__).parent / "data"
 CANTOR = str(DATA / "cantor.tla")
@@ -64,6 +66,20 @@ class TestExitCodes:
         )
         assert code == 2
         assert "FAILED" in out
+
+    def test_trace_that_does_not_replay_is_unknown(self, capsys, tmp_path, monkeypatch):
+        p = tmp_path / "one.tla"
+        p.write_text("THEOREM ASSUME NEW P, NEW Q, P /\\ Q PROVE Q\n<1>1. QED OBVIOUS\n")
+
+        def prove_without_last_line(sequent, budget):
+            out = prove(sequent, budget)
+            return Proved("".join(out.trace.splitlines(keepends=True)[:-1]))
+
+        monkeypatch.setattr(cli, "prove", prove_without_last_line)
+        code, out, err = run(capsys, "check", str(p), "--prove", "--format", "json")
+        assert code == 2
+        assert [l["outcome"] for l in json.loads(out)["leaves"]] == ["unknown"]
+        assert f"{p}: leaf <1>1: trace does not replay: 1 branch(es) left open" in err
 
     def test_checkonly_complete_is_zero(self, capsys):
         code, out, _ = run(capsys, "check", CANTOR)

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import rand_prop_sequent, truth_table_valid
+from helpers import rand_expr, rand_prop_sequent, rand_term, truth_table_valid
 from proofmgr.parser import parse_expression as pe
 from proofmgr.prover import (
     Budget,
@@ -19,9 +19,21 @@ from proofmgr.prover import (
     prove,
     replay_trace,
     sequent_from_obligation,
+    _Subst,
+    _Tableau,
 )
 from proofmgr.meta import Def, New, Obligation, fact
-from proofmgr.syntax import Ident, Implies, In, Neg, OpApp, Quant, Binder
+from proofmgr.syntax import (
+    Binder,
+    Ident,
+    Implies,
+    In,
+    Neg,
+    OpApp,
+    Quant,
+    free_identifiers,
+    map_children,
+)
 
 
 BIG = Budget(max_depth=60, timeout_ms=20000, gamma_reuse=4)
@@ -368,6 +380,83 @@ class TestReplayProperty:
         if isinstance(out, Proved):
             result = replay_trace(seq, out.trace)
             assert result.ok, (out.trace, result.error)
+
+
+def rebuild(m, e):
+    """Reference resolution: rebuild every node, following bound
+    metavariables through m."""
+    if isinstance(e, Ident) and e.name in m:
+        return rebuild(m, m[e.name])
+    return map_children(e, lambda c: rebuild(m, c))
+
+
+METAS = ["?1", "?2", "?3", "?4"]
+
+
+def meta_value(rng, k):
+    """A value for METAS[k]: it mentions only later metavariables, so every
+    chain of bindings ends."""
+    return rand_term(rng, ["a", "S", *METAS[k + 1 :]], 2)
+
+
+@st.composite
+def bound_terms(draw):
+    """A formula over constants and metavariables, and a substitution that
+    binds some of the metavariables, possibly through chains."""
+    rng = random.Random(draw(st.integers(0, 10**9)))
+    subst = _Subst()
+    for k in draw(st.permutations(range(len(METAS)))):
+        if draw(st.booleans()):
+            subst.bind(METAS[k], meta_value(rng, k))
+    return subst, rand_expr(rng, ["a", "b", "S", *METAS], draw(st.integers(0, 4)))
+
+
+class TestTerms:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(bound_terms())
+    def test_resolve_equals_a_full_rebuild(self, case):
+        subst, e = case
+        out = subst.resolve(e)
+        assert out == rebuild(subst.map, e)
+        if subst.map.keys().isdisjoint(free_identifiers(e)):
+            assert out is e
+
+    def test_resolved_follows_a_rebind_after_undo(self):
+        t = _Tableau(Sequent((), (), pe("TRUE")))
+        i = t._add(OpApp("P", (Ident("?1"),)))
+        mark = t.subst.mark()
+        t.subst.bind("?1", Ident("a"))
+        assert t._resolved(i) == pe("P(a)")
+        t.subst.undo(mark)
+        # same trail length as when P(a) was resolved
+        t.subst.bind("?1", Ident("b"))
+        assert t._resolved(i) == pe("P(b)")
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(0, 10**9),
+        st.lists(
+            st.tuples(st.one_of(st.none(), st.integers(0, len(METAS) - 1)), st.booleans()),
+            max_size=12,
+        ),
+    )
+    def test_resolved_is_never_stale(self, seed, ops):
+        # an op (None, read) undoes the latest bind, (k, read) binds METAS[k]
+        # if it is unbound; entries are resolved after the op when read is set
+        rng = random.Random(seed)
+        t = _Tableau(Sequent((), (), pe("TRUE")))
+        ids = [t._add(rand_expr(rng, ["a", "b", *METAS], 3)) for _ in range(3)]
+        marks = []
+        for k, read in [*ops, (None, True)]:
+            if k is None:
+                if marks:
+                    t.subst.undo(marks.pop())
+            elif METAS[k] not in t.subst.map:
+                marks.append(t.subst.mark())
+                t.subst.bind(METAS[k], meta_value(rng, k))
+            if read:
+                for i in ids:
+                    assert t._resolved(i) == rebuild(t.subst.map, t.entries[i])
 
 
 class TestBudgets:

@@ -1,11 +1,18 @@
 """Expression-level operations: scoping, substitution, alpha equivalence,
 pretty-printing."""
 
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import proofmgr
 from helpers import rand_expr
 from proofmgr.syntax import children
 
@@ -172,3 +179,52 @@ def test_fresh_name_smallest_suffix():
     assert fresh_name("x", {"y"}) == "x"
     assert fresh_name("x", {"x"}) == "x1"
     assert fresh_name("x", {"x", "x1", "x2"}) == "x3"
+
+
+class TestHash:
+    @settings(max_examples=200, derandomize=True, database=None)
+    @given(st.integers(0, 10**9), st.integers(0, 4))
+    def test_copies_and_equal_terms_hash_equal(self, seed, depth):
+        e = rand_expr(random.Random(seed), ["a", "b", "S", "f"], depth)
+        h = hash(e)  # cached on e before it is copied
+        assert hash(copy.deepcopy(e)) == h
+        twin = rand_expr(random.Random(seed), ["a", "b", "S", "f"], depth)
+        assert twin == e and hash(twin) == h
+        reparsed = parse_expression(pretty(e))  # positions differ
+        assert reparsed == e and hash(reparsed) == h
+
+    def test_unpickled_term_hashes_as_built_in_a_process_with_another_seed(self):
+        # string hashes are salted per process: a hash cached in this process
+        # must not travel with the pickle
+        text = r"\A x \in S : f[x] # {z \in S : z \notin f[z]} /\ P(a, SUBSET b)"
+        e = parse_expression(text)
+        hash(e)
+        child = (
+            "import pickle, sys\n"
+            "from proofmgr.parser import parse_expression\n"
+            "from proofmgr.syntax import children\n"
+            "def nodes(e):\n"
+            "    yield e\n"
+            "    for c in children(e):\n"
+            "        yield from nodes(c)\n"
+            "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+            "fresh = parse_expression(sys.argv[1])\n"
+            "assert loaded == fresh\n"
+            "assert {fresh: 0}[loaded] == 0\n"
+            "for a, b in zip(nodes(loaded), nodes(fresh), strict=True):\n"
+            "    assert hash(a) == hash(b), (a, hash(a), hash(b))\n"
+        )
+        src = str(Path(proofmgr.__file__).resolve().parents[1])
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED="2" if os.environ.get("PYTHONHASHSEED") == "1" else "1",
+            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child, text],
+            input=pickle.dumps(e),
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
