@@ -3,22 +3,21 @@
     proofmgr check FILE [FILE ...] [options]
 
 Exit codes: 0 the theorem is PROVED (or CHECKED in a structure-only run),
-1 INCOMPLETE, 2 FAILED (some leaf not proved), 3 MEANINGLESS or a parse
-error, 4 internal error.  With several files the worst exit code wins.
+1 INCOMPLETE, 2 FAILED (some leaf not proved), 3 MEANINGLESS, a parse
+error or an ill-formed theorem, 4 internal error.  With several files the
+worst exit code wins.
 
-Leaves are proved independently and may be dispatched to a worker pool
-(--jobs); report assembly preserves derivation order regardless of
-completion order, so output is byte-identical for a fixed configuration.
-A leaf is reported ``proved`` only when its trace replays
-(``replay_trace``); a trace that does not replay makes the leaf ``unknown``
-and is named on standard error with the replay's first failure.
+Leaves are proved one after another in derivation order, so output is
+byte-identical for a fixed configuration.  A leaf is reported ``proved``
+only when its trace replays (``replay_trace``); a trace that does not
+replay makes the leaf ``unknown`` and is named on standard error with the
+replay's first failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
@@ -59,7 +58,6 @@ class RunConfig:
     timeout_ms: int = 5000
     depth: int = 12
     gamma_reuse: int = 4
-    jobs: int = 1
     local_defs_usable: bool = True
     only: Optional[str] = None
     expand_filtered: bool = True
@@ -69,9 +67,8 @@ class RunConfig:
         return Budget(self.depth, self.timeout_ms, self.gamma_reuse)
 
 
-def _prove_leaf(args):
-    """(outcome, millis, trace if wanted, replay error) of one leaf."""
-    sequent, budget, want_trace = args
+def _prove_leaf(sequent, budget: Budget):
+    """(outcome, millis, trace if proved, replay error) of one leaf."""
     start = perf_counter()
     outcome = prove(sequent, budget)
     millis = (perf_counter() - start) * 1000.0
@@ -80,7 +77,7 @@ def _prove_leaf(args):
             replay = replay_trace(sequent, trace)
             if not replay.ok:
                 return "unknown", millis, None, replay.error
-            return "proved", millis, trace if want_trace else None, None
+            return "proved", millis, trace, None
         case Unknown(reason, _):
             return "unknown", millis, None, None
         case Malformed(reason):
@@ -115,34 +112,34 @@ def check_file(path: str, config: RunConfig, sink) -> int:
 
     # the prover, the report and the embeddings share one prepared
     # obligation per leaf
-    prepared = [prepared_obligation(r) for r in checked.records]
-    outcomes: Optional[dict[int, tuple[str, Optional[float]]]] = None
+    prepared = []
+    for record in checked.records:
+        try:
+            prepared.append(prepared_obligation(record))
+        except MetaError as err:
+            leaf = ".".join(record.path) or "(root)"
+            at = f" at {record.span}" if record.span else ""
+            print(f"{path}: ill-formed theorem: leaf {leaf}{at}: {err}", file=sys.stderr)
+            return 3
+    outcomes: Optional[dict[int, tuple[str, Optional[float]]]] = (
+        {} if config.prove_leaves else None
+    )
     traces: dict[int, str] = {}
     if config.prove_leaves and checked.meaningful:
-        tasks = []
         for idx, record in enumerate(checked.records):
             if record.omitted or not _selected(".".join(record.path), config.only):
                 continue
             sequent = sequent_from_obligation(prepared[idx])
-            tasks.append((idx, (sequent, config.budget(), config.emit_traces is not None)))
-        outcomes = {}
-        if config.jobs > 1 and len(tasks) > 1:
-            with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-                results = list(pool.map(_prove_leaf, (t for _, t in tasks)))
-        else:
-            results = [_prove_leaf(t) for _, t in tasks]
-        for (idx, _), (outcome, millis, trace, replay_error) in zip(tasks, results):
+            outcome, millis, trace, replay_error = _prove_leaf(sequent, config.budget())
             outcomes[idx] = (outcome, millis if config.timings else None)
-            if trace is not None:
+            if trace is not None and config.emit_traces:
                 traces[idx] = trace
             if replay_error is not None:
-                leaf = ".".join(checked.records[idx].path) or "(root)"
+                leaf = ".".join(record.path) or "(root)"
                 print(
                     f"{path}: leaf {leaf}: trace does not replay: {replay_error}",
                     file=sys.stderr,
                 )
-    elif config.prove_leaves:
-        outcomes = {}
 
     report = build_report(
         theorem.name,
@@ -207,7 +204,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     check.add_argument("--timeout-ms", type=int, default=5000)
     check.add_argument("--depth", type=int, default=12)
     check.add_argument("--gamma-reuse", type=int, default=4)
-    check.add_argument("--jobs", type=int, default=1)
     check.add_argument(
         "--local-defs-hidden",
         action="store_true",
@@ -236,7 +232,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         timeout_ms=args.timeout_ms,
         depth=args.depth,
         gamma_reuse=args.gamma_reuse,
-        jobs=args.jobs,
         local_defs_usable=not args.local_defs_hidden,
         only=args.only,
         expand_filtered=not args.raw_filtered,

@@ -228,7 +228,7 @@ def expand_for_matching(o: Obligation) -> Obligation:
                 d = defs[name]
                 if not isinstance(d, Lambda) or len(d.params) != len(args):
                     break
-                goal = subst_many(d.body, dict(zip(d.params, args)))
+                goal = d.apply(name, args)
             case _:
                 break
     if goal is o.goal:

@@ -12,7 +12,8 @@ context, and is rendered as the bare expression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Union
 
 from .syntax import (
@@ -21,14 +22,11 @@ from .syntax import (
     Ident,
     Implies,
     In,
-    OpApp,
     Quant,
-    SetComp,
-    SetImage,
     _alpha,
     alpha_equal,
     free_identifiers,
-    map_children,
+    fresh_name,
     pretty,
     subst_many,
     substitute,
@@ -88,6 +86,18 @@ class Lambda:
         if len(set(self.params)) != len(self.params):
             raise DuplicateBinder(f"repeated lambda parameter in {self.params}")
 
+    @cached_property
+    def free(self) -> frozenset[str]:
+        return free_identifiers(self.body) - set(self.params)
+
+    def apply(self, name: str, args: tuple[Expr, ...]) -> Expr:
+        """The body with args for the parameters; name is for the error."""
+        if len(args) != len(self.params):
+            raise ArityMismatch(
+                f"{name} expects {len(self.params)} arguments, got {len(args)}"
+            )
+        return subst_many(self.body, dict(zip(self.params, args)))
+
 
 @dataclass(frozen=True)
 class Assumption:
@@ -119,6 +129,12 @@ Context = tuple[Assumption, ...]
 class Obligation:
     context: Context
     goal: Expr
+
+    @cached_property
+    def free(self) -> frozenset[str]:
+        """``obligation_free_identifiers``, computed once: expansion asks it
+        of every nested obligation, and sibling leaves share most of theirs."""
+        return obligation_free_identifiers(self)
 
 
 def fact(body: Union[Expr, "Obligation"], hidden: bool = False) -> Fact:
@@ -233,16 +249,10 @@ def obligation_free_identifiers(o: Obligation) -> frozenset[str]:
                 free.discard(name)
             case Def(name, definable, _):
                 free.discard(name)
-                free |= _definable_free(definable)
+                free |= definable.free
             case Fact(obl, _):
-                free |= obligation_free_identifiers(obl)
+                free |= obl.free
     return frozenset(free)
-
-
-def _definable_free(d: Union[Obligation, Lambda]) -> frozenset[str]:
-    if isinstance(d, Lambda):
-        return free_identifiers(d.body) - set(d.params)
-    return obligation_free_identifiers(d)
 
 
 def check_well_formed(o: Obligation, scope: frozenset[str] = frozenset()) -> None:
@@ -259,7 +269,7 @@ def check_well_formed(o: Obligation, scope: frozenset[str] = frozenset()) -> Non
             case Def(name, definable, _):
                 if name in bound:
                     raise NotWellFormed(f"{name} bound twice")
-                loose = _definable_free(definable) - inner
+                loose = definable.free - inner
                 if loose:
                     raise NotWellFormed(
                         f"definition of {name} mentions unbound {sorted(loose)}"
@@ -268,7 +278,7 @@ def check_well_formed(o: Obligation, scope: frozenset[str] = frozenset()) -> Non
                     check_well_formed(definable, inner)
                 bound.add(name)
             case Fact(obl, _):
-                loose = obligation_free_identifiers(obl) - inner
+                loose = obl.free - inner
                 if loose:
                     raise NotWellFormed(f"fact mentions unbound {sorted(loose)}")
                 check_well_formed(obl, inner)
@@ -334,7 +344,11 @@ def _alpha_definable(da, db, env_a, env_b, depth) -> bool:
 
 def expand_definition(o: Obligation, name: str) -> Obligation:
     """Replace applications of a defined operator in all later assumptions and
-    the goal by the definable's body; the definition itself remains."""
+    the goal by the definable's body; the definition itself remains.
+
+    Expansion avoids capture: a binder, a LAMBDA parameter or a nested
+    declaration or definition that would bind a free name of the definable
+    is renamed apart first."""
     idx = None
     for k, h in enumerate(o.context):
         if isinstance(h, Def) and h.name == name:
@@ -343,9 +357,8 @@ def expand_definition(o: Obligation, name: str) -> Obligation:
     if idx is None:
         raise UnknownOperator(f"{name} is not defined in the context")
     definable = o.context[idx].definable  # type: ignore[union-attr]
-    head = o.context[: idx + 1]
-    tail = tuple(_expand_assumption(h, name, definable) for h in o.context[idx + 1 :])
-    return Obligation(head + tail, _expand_expr(o.goal, name, definable))
+    rest = _expand_obligation(Obligation(o.context[idx + 1 :], o.goal), name, definable)
+    return Obligation(o.context[: idx + 1] + rest.context, rest.goal)
 
 
 def _expand_assumption(h: Assumption, name: str, d) -> Assumption:
@@ -369,18 +382,34 @@ def _expand_assumption(h: Assumption, name: str, d) -> Assumption:
 
 def _expand_definable(definable, name: str, d):
     if isinstance(definable, Lambda):
-        if name in definable.params:
+        if name not in definable.free:
             return definable
-        return Lambda(definable.params, _expand_expr(definable.body, name, d))
+        # A LAMBDA binds its parameters as \A binds its binders, so the
+        # substitution scopes and renames them.
+        params = tuple(Binder(p) for p in definable.params)
+        q = _expand_expr(Quant("forall", params, definable.body), name, d)
+        return Lambda(tuple(b.name for b in q.binders), q.body)  # type: ignore[attr-defined]
     return _expand_obligation(definable, name, d)
 
 
 def _expand_obligation(o: Obligation, name: str, d) -> Obligation:
+    if name not in o.free:
+        return o
     out: list[Assumption] = []
     for k, h in enumerate(o.context):
-        if isinstance(h, (New, Def)) and h.name == name:
-            # Shadowed from here on inside this nested context.
-            return Obligation(tuple(out) + o.context[k:], o.goal)
+        if isinstance(h, (New, Def)):
+            if h.name == name:
+                # Shadowed from here on inside this nested context.
+                return Obligation(tuple(out) + o.context[k:], o.goal)
+            if h.name in d.free:
+                rest = Obligation(o.context[k + 1 :], o.goal)
+                if name in rest.free:
+                    # h would capture a free name of d there: rename it apart.
+                    fresh = fresh_name(h.name, d.free | rest.free | context_binds(o.context))
+                    rest = _expand_obligation(rest, h.name, Obligation((), Ident(fresh)))
+                    out.append(_expand_assumption(replace(h, name=fresh), name, d))
+                    rest = _expand_obligation(rest, name, d)
+                    return Obligation(tuple(out) + rest.context, rest.goal)
         out.append(_expand_assumption(h, name, d))
     return Obligation(tuple(out), _expand_expr(o.goal, name, d))
 
@@ -388,40 +417,7 @@ def _expand_obligation(o: Obligation, name: str, d) -> Obligation:
 def _expand_expr(e: Expr, name: str, d) -> Expr:
     if name not in free_identifiers(e):
         return e
-    if isinstance(d, Lambda):
-        return _expand_lambda_expr(e, name, d)
-    return substitute(e, name, obligation_to_expression(d))
-
-
-def _expand_lambda_expr(e: Expr, name: str, lam: Lambda) -> Expr:
-    def walk(x: Expr) -> Expr:
-        match x:
-            case OpApp(n, args) if n == name:
-                if len(args) != len(lam.params):
-                    raise ArityMismatch(
-                        f"{name} expects {len(lam.params)} arguments, got {len(args)}"
-                    )
-                new_args = tuple(walk(a) for a in args)
-                return subst_many(lam.body, dict(zip(lam.params, new_args)))
-            case Ident(n) if n == name:
-                raise ArityMismatch(f"{name} expects {len(lam.params)} arguments")
-            case Quant(kind, binders, body) if any(b.name == name for b in binders):
-                return Quant(
-                    kind,
-                    tuple(
-                        Binder(b.name, walk(b.domain) if b.domain is not None else None)
-                        for b in binders
-                    ),
-                    body,
-                )
-            case SetComp(var, domain, pred) if var == name:
-                return SetComp(var, walk(domain), pred)
-            case SetImage(expr, var, domain) if var == name:
-                return SetImage(expr, var, walk(domain))
-            case _:
-                return map_children(x, walk)
-
-    return walk(e)
+    return substitute(e, name, d if isinstance(d, Lambda) else obligation_to_expression(d))
 
 
 def expand_all_usable(o: Obligation, drop_unused: bool = True) -> Obligation:
@@ -443,9 +439,9 @@ def expand_all_usable(o: Obligation, drop_unused: bool = True) -> Obligation:
                 needed.discard(name)
             case Def(name, definable, _):
                 needed.discard(name)
-                needed |= _definable_free(definable)
+                needed |= definable.free
             case Fact(obl, _):
-                needed |= obligation_free_identifiers(obl)
+                needed |= obl.free
     return Obligation(tuple(reversed(kept)), o.goal)
 
 

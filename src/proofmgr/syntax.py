@@ -323,27 +323,35 @@ def substitute(e: Expr, name: str, value: Expr) -> Expr:
 
 
 def subst_many(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
-    """Simultaneous capture-avoiding substitution."""
+    """Simultaneous capture-avoiding substitution.  A value may also be an
+    operator with ``apply(name, args)`` and a ``free`` name set, such as a
+    LAMBDA: each application of the name becomes ``apply`` of the
+    substituted arguments, and binders are renamed apart from ``free``."""
     live = {k: v for k, v in mapping.items() if k in free_identifiers(e)}
     if not live:
         return e
     return _subst(e, live)
 
 
+def _free(value) -> frozenset[str]:
+    return free_identifiers(value) if isinstance(value, Expr) else value.free
+
+
 def _subst(e: Expr, mapping: dict[str, Expr]) -> Expr:
     match e:
         case Ident(name):
-            return mapping.get(name, e)
+            repl = mapping.get(name, e)
+            return repl if isinstance(repl, Expr) else repl.apply(name, ())
         case OpApp(name, args):
             new_args = tuple(_subst(a, mapping) for a in args)
-            # Operator names are substitutable only by other bare names;
-            # argument-position replacement is handled by definition expansion.
-            if name in mapping:
-                repl = mapping[name]
-                if isinstance(repl, Ident):
-                    return OpApp(repl.name, new_args)
+            if name not in mapping:
+                return OpApp(name, new_args)
+            repl = mapping[name]
+            if isinstance(repl, Ident):
+                return OpApp(repl.name, new_args)
+            if isinstance(repl, Expr):
                 raise ValueError(f"cannot substitute applied operator {name} by a non-name")
-            return OpApp(name, new_args)
+            return repl.apply(name, new_args)
         case Quant(kind, binders, body):
             new_binders, body_map = _rebind(
                 [(b.name, b.domain) for b in binders], body, mapping
@@ -361,24 +369,8 @@ def _subst(e: Expr, mapping: dict[str, Expr]) -> Expr:
             new_dom = _subst(domain, mapping)
             (new_b,), body_map = _rebind([(var, None)], expr, mapping)
             return SetImage(_subst(expr, body_map) if body_map else expr, new_b[0], new_dom)
-        case FnApp(fn, arg):
-            return FnApp(_subst(fn, mapping), _subst(arg, mapping))
-        case Neg(item):
-            return Neg(_subst(item, mapping))
-        case In(item, s):
-            return In(_subst(item, mapping), _subst(s, mapping))
-        case NotIn(item, s):
-            return NotIn(_subst(item, mapping), _subst(s, mapping))
-        case PowerSet(s):
-            return PowerSet(_subst(s, mapping))
-        case FuncSpace(dom, cod):
-            return FuncSpace(_subst(dom, mapping), _subst(cod, mapping))
-        case Bool():
-            return e
-        case _ if isinstance(e, _BINARY):
-            return type(e)(_subst(e.left, mapping), _subst(e.right, mapping))  # type: ignore[attr-defined]
         case _:
-            raise TypeError(f"unknown expression node {type(e).__name__}")
+            return map_children(e, lambda c: _subst(c, mapping))
 
 
 def _rebind(
@@ -398,13 +390,13 @@ def _rebind(
         new_dom = _subst(domain, mapping) if domain is not None else None
         body_map.pop(name, None)
         captures = any(
-            k in body_free and name in free_identifiers(v) for k, v in body_map.items()
+            k in body_free and name in _free(v) for k, v in body_map.items()
         )
         if captures:
             avoid = set(body_free) | set(body_map) | {n for n, _ in new_binders}
             for k, v in body_map.items():
                 if k in body_free:
-                    avoid |= free_identifiers(v)
+                    avoid |= _free(v)
             renamed = fresh_name(name, avoid)
             body_map[name] = Ident(renamed)
             new_binders.append((renamed, new_dom))

@@ -4,6 +4,7 @@ expansion, embedding, well-formedness."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import rand_obligation
 from proofmgr.meta import (
@@ -32,7 +33,17 @@ from proofmgr.meta import (
     using_defs,
 )
 from proofmgr.parser import parse_expression as pe
-from proofmgr.syntax import Binder, Ident, pretty
+from proofmgr.syntax import (
+    Binder,
+    Ident,
+    OpApp,
+    Quant,
+    SetComp,
+    SetImage,
+    alpha_equal,
+    free_identifiers,
+    pretty,
+)
 
 
 def ctx_of(o: Obligation):
@@ -186,6 +197,35 @@ class TestExpansion:
         with pytest.raises(ArityMismatch):
             expand_definition(o, "D")
 
+    @pytest.mark.parametrize(
+        "nested, expanded",
+        [
+            # a nested declaration
+            (
+                Fact(Obligation((New("S"),), pe("F(S)"))),
+                Fact(Obligation((New("S1"),), pe("S1 = S"))),
+            ),
+            # a nested definition
+            (
+                Fact(Obligation((Def("S", Obligation((), Ident("c"))),), pe("F(S)"))),
+                Fact(Obligation((Def("S1", Obligation((), Ident("c"))),), pe("S1 = S"))),
+            ),
+            # a LAMBDA parameter
+            (Def("G", Lambda(("S",), pe("F(S)"))), Def("G", Lambda(("S1",), pe("S1 = S")))),
+            # nothing to capture: names stay
+            (
+                Fact(Obligation((New("S"),), pe("S = c"))),
+                Fact(Obligation((New("S"),), pe("S = c"))),
+            ),
+        ],
+    )
+    def test_nested_binders_are_renamed_apart(self, nested, expanded):
+        o = Obligation(
+            (New("S"), New("c"), Def("F", Lambda(("x",), pe("x = S"))), nested),
+            pe("TRUE"),
+        )
+        assert expand_definition(o, "F").context[3] == expanded
+
     def test_unknown_operator(self):
         with pytest.raises(UnknownOperator):
             expand_definition(Obligation((), pe("TRUE")), "nope")
@@ -221,6 +261,52 @@ class TestExpansion:
             pe(r"T \subseteq S"),
         )
         assert expand_all_usable(o) == o
+
+
+BINDER_NAMES = ["S", "x", "y"]
+
+
+@st.composite
+def binder_chains(draw):
+    """F(a) under one to four Quant, SetComp and SetImage binders whose names
+    may be S, the name free in F's body; returns the term and the term
+    expected from expanding F, built by hand with every bound S called T."""
+    arg = draw(st.sampled_from(BINDER_NAMES + ["c"]))
+    bound = set()
+    chain = []
+    for _ in range(draw(st.integers(1, 4))):
+        chain.append((draw(st.integers(0, 2)), draw(st.sampled_from(BINDER_NAMES))))
+        bound.add(chain[-1][1])
+    term = OpApp("F", (Ident(arg),))
+    expected_arg = "T" if arg == "S" and "S" in bound else arg
+    expected = pe(f"{expected_arg} = S")
+    for kind, var in reversed(chain):
+        renamed = "T" if var == "S" else var
+        if kind == 0:
+            term = Quant("forall", (Binder(var, Ident("D")),), term)
+            expected = Quant("forall", (Binder(renamed, Ident("D")),), expected)
+        elif kind == 1:
+            term = SetComp(var, Ident("D"), term)
+            expected = SetComp(renamed, Ident("D"), expected)
+        else:
+            term = SetImage(term, var, Ident("D"))
+            expected = SetImage(expected, renamed, Ident("D"))
+    return term, expected
+
+
+class TestExpansionAvoidsCapture:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(binder_chains())
+    def test_free_name_of_the_definition_stays_free(self, case):
+        term, expected = case
+        o = Obligation(
+            (New("S"), New("c"), New("D"), Def("F", Lambda(("x",), pe("x = S")))),
+            term,
+        )
+        got = expand_all_usable(o)
+        assert got.context == (New("S"), New("c"), New("D"))
+        assert "S" in free_identifiers(got.goal)
+        assert alpha_equal(got.goal, expected), pretty(got.goal)
 
 
 class TestEmbedding:
