@@ -216,20 +216,28 @@ def reflect_binders(binders: Iterable[Binder]) -> Context:
 
 def filter_obligation(o: Obligation) -> Obligation:
     """Delete hidden facts, demote hidden definitions to declarations,
-    recursively at every nesting depth."""
+    recursively at every nesting depth.
+
+    An obligation, fact or definition with nothing hidden under it is
+    returned itself, not rebuilt, so the filtered leaves of one proof share
+    the assumptions they have in common (and their cached ``free``)."""
     out: list[Assumption] = []
     for h in o.context:
         match h:
             case Fact(_, True):
                 continue
             case Fact(obl, False):
-                out.append(Fact(filter_obligation(obl), False))
+                f = filter_obligation(obl)
+                out.append(h if f is obl else Fact(f, False))
             case Def(name, _, True):
                 out.append(New(name))
             case Def(name, definable, False):
-                out.append(Def(name, _filter_definable(definable), False))
+                d = _filter_definable(definable)
+                out.append(h if d is definable else Def(name, d, False))
             case _:
                 out.append(h)
+    if len(out) == len(o.context) and all(a is b for a, b in zip(out, o.context)):
+        return o
     return Obligation(tuple(out), o.goal)
 
 
@@ -422,10 +430,29 @@ def _expand_expr(e: Expr, name: str, d) -> Expr:
 
 def expand_all_usable(o: Obligation, drop_unused: bool = True) -> Obligation:
     """Expand every usable definition left to right, then optionally drop
-    definitions no later assumption or the goal still mentions."""
-    for h in list(o.context):
+    definitions no later assumption or the goal still mentions.
+
+    One walk over the context: each assumption, and then the goal, has the
+    usable definitions before it that are free in it expanded in context
+    order, each definition already expanded by the ones before it.  This is
+    the fold of ``expand_definition`` over the usable definitions, provided
+    no name is bound twice in the top-level context (as ``check_well_formed``
+    requires): then no top-level binder can shadow or capture one."""
+    defs: dict[str, Union[Obligation, Lambda]] = {}
+    ctx: list[Assumption] = []
+    for h in o.context:
+        if defs and not isinstance(h, New):
+            free = h.definable.free if isinstance(h, Def) else h.obligation.free
+            for name in [n for n in defs if n in free]:
+                h = _expand_assumption(h, name, defs[name])
+        ctx.append(h)
         if isinstance(h, Def) and not h.hidden:
-            o = expand_definition(o, h.name)
+            defs[h.name] = h.definable
+    goal = o.goal
+    free = free_identifiers(goal)
+    for name in [n for n in defs if n in free]:
+        goal = _expand_expr(goal, name, defs[name])
+    o = Obligation(tuple(ctx), goal)
     if not drop_unused:
         return o
     kept: list[Assumption] = []

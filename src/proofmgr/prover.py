@@ -37,6 +37,7 @@ side condition needs); ``close*`` pops.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -113,9 +114,15 @@ def sequent_from_obligation(o: Obligation) -> Sequent:
 _SET_SHAPES = (s.SetComp, s.SetImage, s.PowerSet, s.FuncSpace)
 
 
+@functools.lru_cache(maxsize=4096)
 def normalize(e: Expr) -> Expr:
     """Rewrite bounded quantifiers and negative relation forms into the core
-    fragment the tableau rules operate on."""
+    fragment the tableau rules operate on.
+
+    Memoised by structure, so the search, its replay and sibling leaves get
+    the very same normal form of an equal hypothesis, and the caches keyed
+    by it (``free_identifiers``) hit by identity.  A subterm already in
+    normal form is returned itself, so the memo holds few nodes of its own."""
     match e:
         case s.Ne(l, r):
             return Neg(s.Eq(normalize(l), normalize(r)))
@@ -131,9 +138,9 @@ def normalize(e: Expr) -> Expr:
                     out = Quant(kind, (Binder(b.name),), s.Implies(s.In(Ident(b.name), dom), out))
                 else:
                     out = Quant(kind, (Binder(b.name),), s.And(s.In(Ident(b.name), dom), out))
-            return out
         case _:
-            return map_children(e, normalize)
+            out = map_children(e, normalize)
+    return e if out == e else out
 
 
 def _is_meta(e: Expr) -> bool:
@@ -533,16 +540,15 @@ class _Tableau:
     def __init__(self, sequent: Sequent):
         self.initial = [normalize(h) for h in sequent.hypotheses]
         self.initial.append(Neg(normalize(sequent.goal)))
+        self.initial_ground = [_ground(e) for e in self.initial]
         self.restart()
 
     def restart(self) -> None:
-        self.entries: list[Expr] = []
-        self.meta_free: list[bool] = []
+        self.entries: list[Expr] = list(self.initial)
+        self.meta_free: list[bool] = list(self.initial_ground)
         self.exp_cache: dict[int, Optional[tuple]] = {}
         self.resolved_cache: dict[int, tuple[int, Expr]] = {}
         self.subst = _Subst()
-        for e in self.initial:
-            self._add(e)
 
     def _add(self, e: Expr) -> int:
         self.entries.append(e)
@@ -727,13 +733,13 @@ class _Search(_Tableau):
         """None: no closure worked.  True/False: a closure without new
         bindings was found and committed to; result is the continuation's."""
         items = cur.items
-        full = len(self.subst.trail) != cur.version
-        news = items if full else items[cur.checked :]
-        if not full and any(
+        start = 0 if len(self.subst.trail) != cur.version else cur.checked
+        news = items[start:]
+        if start and any(
             isinstance(e, s.Eq) and _ground(e) for e in map(self._resolved, news)
         ):
             # a new ground equality can make old pairs congruent
-            full = True
+            start = 0
             news = items
         # single-formula closures (commit: no bindings involved)
         for i in news:
@@ -746,12 +752,8 @@ class _Search(_Tableau):
                 self._emit(f"close-eq\t{i}\t")
                 self.closures += 1
                 return self._continue(rest)
-        new_set = set(news)
-        pairs: list[tuple[int, int]] = []
-        for ai, i in enumerate(items):
-            for j in items[ai + 1 :]:
-                if i in new_set or j in new_set:
-                    pairs.append((i, j))
+        # every pair with a new member: news is the suffix items[start:]
+        pairs = [(i, j) for ai, i in enumerate(items) for j in items[max(ai + 1, start) :]]
         # no-binding complementary pairs: commit
         for i, j in pairs:
             ei, ej = self._resolved(i), self._resolved(j)

@@ -4,9 +4,12 @@ Nodes are immutable and hashable; source positions are carried on every node
 but excluded from equality so that structurally identical expressions compare
 equal regardless of where they were parsed.  Each node (and each ``Binder``)
 computes its structural hash on first use and caches it on the instance, so
-hashing a term costs O(1) per node once.  String hashes are salted per
-process, so the cache is left out of a node's pickled (and copied) state and
-recomputed wherever the node is loaded.
+hashing a term costs O(1) per node once; ``pretty`` caches a term's
+rendering on its root node the same way, so a term that sibling leaves
+share is rendered once.  String hashes are salted per process, so the
+cached hash is left out of a node's pickled (and copied) state and
+recomputed wherever the node is loaded; the cached rendering is left out
+with it.
 
 Scoping: quantifiers, set comprehensions and image sets bind their binder
 names in their body only; binder domains are scoped to the enclosing context
@@ -173,7 +176,8 @@ class Bool(Expr):
 
 def _cache_hash(cls: type) -> None:
     """Wrap cls's dataclass-generated structural hash so it is computed once
-    per instance, and keep the cached value out of the pickled state."""
+    per instance, and keep the cached hash and rendering out of the pickled
+    state."""
     structural = cls.__hash__
 
     def __hash__(self) -> int:
@@ -187,6 +191,7 @@ def _cache_hash(cls: type) -> None:
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state.pop("_hash", None)
+        state.pop("_pretty", None)
         return state
 
     cls.__hash__ = __hash__  # type: ignore[method-assign]
@@ -502,28 +507,42 @@ def _level(e: Expr) -> int:
 
 
 def _at(e: Expr, minlevel: int) -> str:
-    s = pretty(e)
+    s = _render(e)
     return f"({s})" if _level(e) < minlevel else s
 
 
 def pretty(e: Expr) -> str:
-    """Canonical single-line rendering; parses back to an equal expression."""
+    """Canonical single-line rendering; parses back to an equal expression.
+
+    Computed once per term and cached on the term's root node.  Subterms are
+    rendered in place, not cached: the terms asked for again are whole
+    assumptions and goals, and a string kept on every node of every term
+    rendered (trace lines included) costs more memory than it saves time."""
+    try:
+        return e._pretty  # type: ignore[attr-defined]
+    except AttributeError:
+        out = _render(e)
+        object.__setattr__(e, "_pretty", out)
+        return out
+
+
+def _render(e: Expr) -> str:
     match e:
         case Ident(name):
             return name
         case Bool(value):
             return "TRUE" if value else "FALSE"
         case OpApp(name, args):
-            return f"{name}({', '.join(pretty(a) for a in args)})"
+            return f"{name}({', '.join(_render(a) for a in args)})"
         case FnApp(fn, arg):
-            return f"{_at(fn, 8)}[{pretty(arg)}]"
+            return f"{_at(fn, 8)}[{_render(arg)}]"
         case Quant(kind, binders, body):
             q = "\\A" if kind == "forall" else "\\E"
             bs = ", ".join(
                 b.name if b.domain is None else f"{b.name} \\in {_at(b.domain, 6)}"
                 for b in binders
             )
-            return f"{q} {bs} : {pretty(body)}"
+            return f"{q} {bs} : {_render(body)}"
         case Neg(item):
             return f"~{_at(item, 7)}"
         case And(l, r):
@@ -541,11 +560,11 @@ def pretty(e: Expr) -> str:
         case PowerSet(s):
             return f"SUBSET {_at(s, 7)}"
         case SetComp(var, domain, pred):
-            return f"{{{var} \\in {_at(domain, 6)} : {pretty(pred)}}}"
+            return f"{{{var} \\in {_at(domain, 6)} : {_render(pred)}}}"
         case SetImage(expr, var, domain):
-            return f"{{{pretty(expr)} : {var} \\in {_at(domain, 6)}}}"
+            return f"{{{_render(expr)} : {var} \\in {_at(domain, 6)}}}"
         case FuncSpace(dom, cod):
-            return f"[{pretty(dom)} -> {pretty(cod)}]"
+            return f"[{_render(dom)} -> {_render(cod)}]"
         case _ if isinstance(e, _BINARY):
             op = _REL[type(e)]
             return f"{_at(e.left, 7)} {op} {_at(e.right, 7)}"  # type: ignore[attr-defined]

@@ -34,8 +34,10 @@ from proofmgr.meta import (
 )
 from proofmgr.parser import parse_expression as pe
 from proofmgr.syntax import (
+    And,
     Binder,
     Ident,
+    In,
     OpApp,
     Quant,
     SetComp,
@@ -121,6 +123,21 @@ class TestFiltration:
         o = Obligation((New("Q"), Fact(inner)), pe("TRUE"))
         got = filter_obligation(o)
         assert got.context[1].obligation.context == (New("u"),)
+
+    def test_shares_what_has_nothing_hidden(self):
+        shared = Fact(Obligation((New("u"),), pe("P(u)")))
+        d = Def("D", Obligation((), pe("x = x")))
+        plain = Obligation((New("P"), New("Q"), New("x"), shared, d), pe("TRUE"))
+        assert filter_obligation(plain) is plain
+        inner = Obligation((New("u"), fact(pe("Q(u)"), hidden=True)), pe("Q(u)"))
+        o = Obligation(plain.context + (Fact(inner),), pe("TRUE"))
+        got = filter_obligation(o)
+        # only the path to the hidden fact is rebuilt
+        assert all(a is b for a, b in zip(got.context[:5], o.context))
+        assert got.context[5] is not o.context[5]
+        assert got.context[5].obligation.context == (inner.context[0],)
+        assert got.context[5].obligation.context[0] is inner.context[0]
+        assert got.goal is o.goal
 
     def test_idempotent_and_hidden_free(self):
         rng = random.Random(2)
@@ -307,6 +324,120 @@ class TestExpansionAvoidsCapture:
         assert got.context == (New("S"), New("c"), New("D"))
         assert "S" in free_identifiers(got.goal)
         assert alpha_equal(got.goal, expected), pretty(got.goal)
+
+
+def expr_of(draw, scope, depth):
+    """A formula over scope, which maps each name to None (a variable), 0 (an
+    obligation definition) or a LAMBDA's arity; definitions are used as the
+    expansion requires.  Binders may take any name in scope."""
+    kind = draw(st.integers(0, 4 if depth > 0 else 1))
+    if kind <= 1:
+        name = draw(st.sampled_from(sorted(scope)))
+        if scope[name]:
+            return OpApp(name, tuple(term_of(draw, scope) for _ in range(scope[name])))
+        return Ident(name) if kind == 0 else In(Ident(name), term_of(draw, scope))
+    if kind == 2:
+        return And(expr_of(draw, scope, depth - 1), expr_of(draw, scope, depth - 1))
+    var = draw(st.sampled_from(sorted(scope) + ["y"]))
+    body = expr_of(draw, {**scope, var: None}, depth - 1)
+    if kind == 3:
+        domain = term_of(draw, scope) if draw(st.booleans()) else None
+        return Quant(draw(st.sampled_from(["forall", "exists"])), (Binder(var, domain),), body)
+    return In(term_of(draw, scope), SetComp(var, term_of(draw, scope), body))
+
+
+def term_of(draw, scope):
+    return Ident(draw(st.sampled_from(sorted(n for n, a in scope.items() if not a))))
+
+
+def nested_of(draw, scope, depth):
+    """An obligation over scope whose context may declare or define names
+    of scope again (nested binders that expansion must rename apart) and
+    may hold facts with contexts of their own."""
+    local = dict(scope)
+    ctx = []
+    bound = set()
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.integers(0, 3 if depth > 0 else 2))
+        if kind <= 1:
+            name = draw(st.sampled_from(sorted(scope) + ["y"]))
+            if name in bound:
+                continue
+            bound.add(name)
+            if kind == 0:
+                ctx.append(New(name))
+                local[name] = None
+            else:
+                ctx.append(Def(name, Obligation((), expr_of(draw, local, 1))))
+                local[name] = 0
+        elif kind == 2:
+            ctx.append(fact(expr_of(draw, local, 1)))
+        else:
+            ctx.append(Fact(nested_of(draw, local, depth - 1)))
+    return Obligation(tuple(ctx), expr_of(draw, local, 2))
+
+
+@st.composite
+def usable_obligations(draw):
+    """Well-formed obligations whose top-level context binds each name once:
+    declarations, LAMBDA and obligation definitions (usable or hidden) whose
+    bodies may use the definitions before them, facts with nested contexts,
+    and bare citations of obligation definitions."""
+    scope = {}
+    ctx = []
+    for k in range(draw(st.integers(1, 7))):
+        kind = draw(st.integers(0, 4)) if scope else 0
+        hidden = draw(st.integers(0, 3)) == 0
+        cited = sorted(n for n, a in scope.items() if a == 0)
+        if kind == 0:
+            ctx.append(New(f"c{k}"))
+            scope[f"c{k}"] = None
+        elif kind == 1:
+            params = ("p", "q")[: draw(st.integers(1, 2))]
+            body = expr_of(draw, {**scope, **dict.fromkeys(params)}, 2)
+            ctx.append(Def(f"D{k}", Lambda(params, body), hidden))
+            scope[f"D{k}"] = len(params)
+        elif kind == 2:
+            ctx.append(Def(f"D{k}", nested_of(draw, scope, 1), hidden))
+            scope[f"D{k}"] = 0
+        elif kind == 3 or not cited:
+            ctx.append(Fact(nested_of(draw, scope, 2), hidden))
+        else:
+            ctx.append(fact(Ident(draw(st.sampled_from(cited))), hidden))
+    return Obligation(tuple(ctx), expr_of(draw, scope, 3))
+
+
+def expand_by_fold(o: Obligation, drop_unused: bool) -> Obligation:
+    """The reference: expand_definition once per usable definition, left to
+    right, then drop the definitions nothing after them mentions."""
+    for h in o.context:
+        if isinstance(h, Def) and not h.hidden:
+            o = expand_definition(o, h.name)
+    if not drop_unused:
+        return o
+    kept = []
+    needed = set(free_identifiers(o.goal))
+    for h in reversed(o.context):
+        if isinstance(h, Def) and h.name not in needed:
+            continue
+        kept.append(h)
+        match h:
+            case New(name):
+                needed.discard(name)
+            case Def(name, definable, _):
+                needed.discard(name)
+                needed |= definable.free
+            case Fact(obl, _):
+                needed |= obl.free
+    return Obligation(tuple(reversed(kept)), o.goal)
+
+
+class TestOneWalkExpansion:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(usable_obligations(), st.booleans())
+    def test_equals_the_fold_of_expand_definition(self, o, drop_unused):
+        check_well_formed(o)
+        assert expand_all_usable(o, drop_unused) == expand_by_fold(o, drop_unused)
 
 
 class TestEmbedding:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import rand_expr, rand_prop_sequent, rand_term, truth_table_valid
+from proofmgr import prover
 from proofmgr.parser import parse_expression as pe
 from proofmgr.prover import (
     Budget,
@@ -59,6 +60,22 @@ class TestNormalization:
     def test_negative_relations(self):
         assert normalize(pe("a # b")) == Neg(pe("a = b"))
         assert normalize(pe(r"a \notin b")) == Neg(pe(r"a \in b"))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 10**9), st.integers(0, 4))
+    def test_memoised_equals_the_plain_function(self, seed, depth):
+        e = rand_expr(random.Random(seed), ["a", "b", "S", "f"], depth)
+        got = normalize(e)
+        # the plain function, its recursion included, with the cache bypassed
+        memoised = prover.normalize
+        prover.normalize = memoised.__wrapped__
+        try:
+            want = memoised.__wrapped__(e)
+        finally:
+            prover.normalize = memoised
+        assert got == want
+        # an equal term built again gets the very same normal form
+        assert normalize(rand_expr(random.Random(seed), ["a", "b", "S", "f"], depth)) is got
 
 
 class TestPropositional:

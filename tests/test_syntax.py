@@ -17,6 +17,12 @@ from helpers import rand_expr
 from proofmgr.syntax import children
 
 
+def nodes(e):
+    yield e
+    for c in children(e):
+        yield from nodes(c)
+
+
 def applied_names(e):
     out = set()
     if isinstance(e, OpApp):
@@ -193,26 +199,54 @@ class TestHash:
         reparsed = parse_expression(pretty(e))  # positions differ
         assert reparsed == e and hash(reparsed) == h
 
+    @settings(max_examples=200, derandomize=True, database=None)
+    @given(st.integers(0, 10**9), st.integers(0, 4))
+    def test_cached_rendering_is_that_of_a_fresh_term(self, seed, depth):
+        e = rand_expr(random.Random(seed), ["a", "b", "S", "f"], depth)
+        for n in nodes(e):
+            pretty(n)  # cached on every node of e
+        twin = rand_expr(random.Random(seed), ["a", "b", "S", "f"], depth)
+        for a, b in zip(nodes(e), nodes(twin), strict=True):
+            assert pretty(a) == pretty(b)
+        assert parse_expression(pretty(e)) == e
+
+    @settings(max_examples=100, derandomize=True, database=None)
+    @given(st.integers(0, 10**9), st.integers(0, 4))
+    def test_copies_carry_no_cached_hash_or_rendering(self, seed, depth):
+        e = rand_expr(random.Random(seed), ["a", "b", "S", "f"], depth)
+        hash(e)
+        for n in nodes(e):
+            pretty(n)
+        for twin in (copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+            assert twin == e
+            for n in nodes(twin):
+                for obj in (n, *getattr(n, "binders", ())):
+                    assert "_hash" not in vars(obj) and "_pretty" not in vars(obj)
+
     def test_unpickled_term_hashes_as_built_in_a_process_with_another_seed(self):
         # string hashes are salted per process: a hash cached in this process
-        # must not travel with the pickle
+        # must not travel with the pickle, nor the rendering cached with it
         text = r"\A x \in S : f[x] # {z \in S : z \notin f[z]} /\ P(a, SUBSET b)"
         e = parse_expression(text)
         hash(e)
+        pretty(e)
         child = (
             "import pickle, sys\n"
             "from proofmgr.parser import parse_expression\n"
-            "from proofmgr.syntax import children\n"
+            "from proofmgr.syntax import children, pretty\n"
             "def nodes(e):\n"
             "    yield e\n"
             "    for c in children(e):\n"
             "        yield from nodes(c)\n"
             "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+            "assert not any('_pretty' in vars(n) for n in nodes(loaded))\n"
             "fresh = parse_expression(sys.argv[1])\n"
             "assert loaded == fresh\n"
             "assert {fresh: 0}[loaded] == 0\n"
             "for a, b in zip(nodes(loaded), nodes(fresh), strict=True):\n"
             "    assert hash(a) == hash(b), (a, hash(a), hash(b))\n"
+            "    assert pretty(a) == pretty(b), (pretty(a), pretty(b))\n"
+            "assert pretty(loaded) == sys.argv[2]\n"
         )
         src = str(Path(proofmgr.__file__).resolve().parents[1])
         env = dict(
@@ -221,7 +255,7 @@ class TestHash:
             PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
         )
         proc = subprocess.run(
-            [sys.executable, "-c", child, text],
+            [sys.executable, "-c", child, text, pretty(e)],
             input=pickle.dumps(e),
             capture_output=True,
             env=env,
