@@ -8,17 +8,25 @@ error or an ill-formed theorem, 4 internal error.  With several files the
 worst exit code wins.
 
 Leaves are proved one after another in derivation order, so output is
-byte-identical for a fixed configuration.  A leaf is reported ``proved``
-only when its trace replays (``replay_trace``); a trace that does not
-replay makes the leaf ``unknown`` and is named on standard error with the
-replay's first failure.
+byte-identical for a fixed configuration.  Each distinct obligation is
+proved once per run: ``prove`` memoises the search, each run starts with an
+empty memo, and a leaf equal to one already searched in the run gets the
+stored outcome, proved or exhausted.  A leaf is reported ``proved`` only
+when its trace replays (``replay_trace``) against the leaf's own sequent,
+reused outcomes included; a trace that does not replay makes the leaf
+``unknown`` and is named on standard error with the replay's first failure.
+
+With several files, ``--emit-traces DIR`` writes each file's traces to its
+own subdirectory ``DIR/<position>-<stem>`` (position from 0 in the argument
+list), and ``--emit-embeddings PATH`` holds every file's embeddings in file
+order.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from time import perf_counter
 from typing import Optional
@@ -31,6 +39,7 @@ from .prover import (
     Malformed,
     Proved,
     Unknown,
+    _search,
     prove,
     replay_trace,
     sequent_from_obligation,
@@ -91,21 +100,25 @@ def _selected(path: str, only: Optional[str]) -> bool:
     return path == only or path.startswith(only + ".") or path.startswith(only + "<")
 
 
-def check_file(path: str, config: RunConfig, sink) -> int:
+def check_file(path: str, config: RunConfig, sink) -> tuple[int, Optional[str]]:
+    """Check (and prove) one file: (exit code, embeddings text).  The report
+    text goes to sink and proved traces to the directory config.emit_traces;
+    the embeddings text is rendered only when config.emit_embeddings is set,
+    and the caller writes it."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
         print(f"{path}: {err}", file=sys.stderr)
-        return 4
+        return 4, None
     try:
         theorem = parse_theorem(text)
         checked = check_theorem(theorem, local_defs_usable=config.local_defs_usable)
     except ParseError as err:
         print(f"{path}: parse error: {err}", file=sys.stderr)
-        return 3
+        return 3, None
     except MetaError as err:
         print(f"{path}: ill-formed theorem: {err}", file=sys.stderr)
-        return 3
+        return 3, None
 
     for warning in checked.warnings:
         print(f"{path}: warning: {warning}", file=sys.stderr)
@@ -120,7 +133,7 @@ def check_file(path: str, config: RunConfig, sink) -> int:
             leaf = ".".join(record.path) or "(root)"
             at = f" at {record.span}" if record.span else ""
             print(f"{path}: ill-formed theorem: leaf {leaf}{at}: {err}", file=sys.stderr)
-            return 3
+            return 3, None
     outcomes: Optional[dict[int, tuple[str, Optional[float]]]] = (
         {} if config.prove_leaves else None
     )
@@ -154,10 +167,7 @@ def check_file(path: str, config: RunConfig, sink) -> int:
         trace_dir.mkdir(parents=True, exist_ok=True)
         for idx, trace in traces.items():
             (trace_dir / f"leaf-{idx}.trace").write_text(trace, encoding="utf-8")
-    if config.emit_embeddings:
-        Path(config.emit_embeddings).write_text(
-            write_embeddings(prepared), encoding="utf-8"
-        )
+    embeddings = write_embeddings(prepared) if config.emit_embeddings else None
     # a run's memory peaks while the report text is rendered; the prepared
     # obligations are not needed for it
     del prepared
@@ -169,14 +179,27 @@ def check_file(path: str, config: RunConfig, sink) -> int:
             sink(f"    {leaf.filtered}")
     else:
         sink(write_report(report, config.fmt).rstrip("\n"))
-    return EXIT_BY_STATUS[report.status]
+    return EXIT_BY_STATUS[report.status], embeddings
 
 
 def run(config: RunConfig) -> int:
+    # the search memo lives as long as the process; a run starts it empty,
+    # so that each run searches its own obligations
+    _search.cache_clear()
     chunks: list[str] = []
+    embedded: list[str] = []
     code = 0
-    for path in config.paths:
-        code = max(code, check_file(path, config, chunks.append))
+    for position, path in enumerate(config.paths):
+        file_config = config
+        if config.emit_traces and len(config.paths) > 1:
+            trace_dir = Path(config.emit_traces) / f"{position}-{Path(path).stem}"
+            file_config = replace(config, emit_traces=str(trace_dir))
+        file_code, embeddings = check_file(path, file_config, chunks.append)
+        code = max(code, file_code)
+        if embeddings is not None:
+            embedded.append(embeddings)
+    if embedded:
+        Path(config.emit_embeddings).write_text("".join(embedded), encoding="utf-8")
     document = "\n".join(chunks) + "\n" if chunks else ""
     if config.out:
         Path(config.out).write_text(document, encoding="utf-8")

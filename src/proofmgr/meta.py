@@ -136,6 +136,26 @@ class Obligation:
         of every nested obligation, and sibling leaves share most of theirs."""
         return obligation_free_identifiers(self)
 
+    @cached_property
+    def rendered(self) -> str:
+        """``render_obligation``, kept for a nested obligation: sibling
+        leaves share their facts, and each leaf's report renders them."""
+        return render_obligation(self)
+
+    @cached_property
+    def hides(self) -> bool:
+        """Something in the context is hidden, at any nesting depth; computed
+        once, since sibling leaves share most of their nested obligations."""
+        for h in self.context:
+            match h:
+                case Fact(obl, hidden):
+                    if hidden or obl.hides:
+                        return True
+                case Def(_, definable, hidden):
+                    if hidden or (isinstance(definable, Obligation) and definable.hides):
+                        return True
+        return False
+
 
 def fact(body: Union[Expr, "Obligation"], hidden: bool = False) -> Fact:
     """Fact assumption from an expression (nil-context obligation) or obligation."""
@@ -220,7 +240,12 @@ def filter_obligation(o: Obligation) -> Obligation:
 
     An obligation, fact or definition with nothing hidden under it is
     returned itself, not rebuilt, so the filtered leaves of one proof share
-    the assumptions they have in common (and their cached ``free``)."""
+    the assumptions they have in common (and their cached ``free`` and
+    ``rendered``).  Whether anything is hidden is kept on each obligation
+    (``Obligation.hides``), so a fact shared by sibling leaves is walked
+    once."""
+    if not o.hides:
+        return o
     out: list[Assumption] = []
     for h in o.context:
         match h:
@@ -236,8 +261,6 @@ def filter_obligation(o: Obligation) -> Obligation:
                 out.append(h if d is definable else Def(name, d, False))
             case _:
                 out.append(h)
-    if len(out) == len(o.context) and all(a is b for a, b in zip(out, o.context)):
-        return o
     return Obligation(tuple(out), o.goal)
 
 
@@ -547,7 +570,7 @@ def render_assumption(h: Assumption) -> str:
             s = f"{name} == {body}"
             return f"[{s}]" if hidden else s
         case Fact(obl, hidden):
-            s = pretty(obl.goal) if not obl.context else f"({render_obligation(obl)})"
+            s = pretty(obl.goal) if not obl.context else f"({obl.rendered})"
             return f"[{s}]" if hidden else s
     raise TypeError(type(h).__name__)
 
@@ -557,7 +580,7 @@ def render_definable(d: Union[Obligation, Lambda]) -> str:
         return f"LAMBDA {', '.join(d.params)} : {pretty(d.body)}"
     if not d.context:
         return pretty(d.goal)
-    return f"({render_obligation(d)})"
+    return f"({d.rendered})"
 
 
 def render_obligation(o: Obligation) -> str:

@@ -33,6 +33,11 @@ a stack of open branches: expansions extend the current branch; ``beta``
 continues on its second introduced formula and pushes a branch for the first
 (the second part of a branching rule usually constrains the metavariables its
 side condition needs); ``close*`` pops.
+
+``prove`` memoises the search per process on its exact input, the
+normalised initial entries and the budget, so each distinct obligation is
+searched once and an equal one gets the stored outcome.  A timeout is never
+stored.  The CLI empties the memo at the start of each run.
 """
 
 from __future__ import annotations
@@ -532,15 +537,20 @@ def _complements(e: Expr, other: Optional[Expr] = None) -> list[tuple[Expr, Expr
     return [(a.item, b) for a, b in ((e, other), (other, e)) if isinstance(a, Neg)]
 
 
+def _initial(sequent: Sequent) -> tuple[Expr, ...]:
+    """The tableau's initial entries: the normalised hypotheses, then the
+    negated normalised goal.  The search reads nothing else of a sequent."""
+    return (*map(normalize, sequent.hypotheses), Neg(normalize(sequent.goal)))
+
+
 class _Tableau:
     """The entries of one tableau under a substitution, and the justification
     of every rule over them.  The search chooses which rule to apply where;
     replay re-runs the same justification for each trace line."""
 
-    def __init__(self, sequent: Sequent):
-        self.initial = [normalize(h) for h in sequent.hypotheses]
-        self.initial.append(Neg(normalize(sequent.goal)))
-        self.initial_ground = [_ground(e) for e in self.initial]
+    def __init__(self, initial: tuple[Expr, ...]):
+        self.initial = initial
+        self.initial_ground = [_ground(e) for e in initial]
         self.restart()
 
     def restart(self) -> None:
@@ -645,7 +655,7 @@ class _Tableau:
 
 
 class _Timeout(Exception):
-    pass
+    """The deadline passed; ``_search`` re-raises it carrying the Stats."""
 
 
 class _Branch:
@@ -678,8 +688,8 @@ _THEORY_RULES = ("func-space", "extensionality")
 
 
 class _Search(_Tableau):
-    def __init__(self, sequent: Sequent, budget: Budget, deadline: float):
-        super().__init__(sequent)
+    def __init__(self, initial: tuple[Expr, ...], budget: Budget, deadline: float):
+        super().__init__(initial)
         self.budget = budget
         self.deadline = deadline
         self.trace: list[str] = []
@@ -897,12 +907,27 @@ class _Search(_Tableau):
 
 
 def prove(sequent: Sequent, budget: Budget = Budget()) -> ProverOutcome:
-    """Attempt to close a tableau for the sequent within the budget."""
+    """Attempt to close a tableau for the sequent within the budget.
+
+    The search is memoised on its exact input, the pair (``_initial`` of the
+    sequent, budget), so an obligation equal to one already searched in this
+    process gets the stored outcome.  A timeout is never stored: the next
+    equal obligation is searched again."""
     bad = _reserved_names(sequent)
     if bad:
         return Malformed(f"reserved names in sequent: {bad}")
+    try:
+        return _search(_initial(sequent), budget)
+    except _Timeout as timeout:
+        return Unknown("timeout", timeout.args[0])
+
+
+@functools.lru_cache(maxsize=1024)
+def _search(initial: tuple[Expr, ...], budget: Budget) -> ProverOutcome:
+    """The outcome of the search from the initial entries; raises _Timeout
+    with the Stats so far, so that lru_cache stores no timeout."""
     deadline = time.monotonic() + budget.timeout_ms / 1000.0
-    search = _Search(sequent, budget, deadline)
+    search = _Search(initial, budget, deadline)
     iterations = 0
     try:
         for depth in range(1, budget.max_depth + 1):
@@ -912,10 +937,7 @@ def prove(sequent: Sequent, budget: Budget = Budget()) -> ProverOutcome:
             if not search.cut:
                 break  # saturated: deeper iterations cannot differ
     except _Timeout:
-        return Unknown(
-            "timeout",
-            Stats(iterations, search.expansions, search.closures),
-        )
+        raise _Timeout(Stats(iterations, search.expansions, search.closures)) from None
     return Unknown(
         "exhausted",
         Stats(iterations, search.expansions, search.closures),
@@ -937,7 +959,7 @@ def replay_trace(sequent: Sequent, trace: str) -> ReplayResult:
     bad = _reserved_names(sequent)
     if bad:
         return ReplayResult(False, f"reserved names in sequent: {bad}")
-    t = _Tableau(sequent)
+    t = _Tableau(_initial(sequent))
     stack: list[list[int]] = [list(range(len(t.entries)))]
     skolems: set[str] = set()
 

@@ -1,17 +1,20 @@
 """Command-line front end: modes, exit codes, determinism, side outputs."""
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from helpers import cantor_text
-from proofmgr import cli
+from proofmgr import cli, prover
 from proofmgr.cli import main
 from proofmgr.prover import Proved, prove
+from test_report_manifest import MANIFEST, report_bytes
 
 DATA = Path(__file__).parent / "data"
 CANTOR = str(DATA / "cantor.tla")
+PICK = str(DATA / "corpus" / "pick.tla")
 
 
 def run(capsys, *argv):
@@ -161,6 +164,40 @@ class TestModes:
         assert len(files) == 11
         assert "close" in files[0].read_text()
 
+    def test_emit_traces_of_several_files(self, capsys, tmp_path):
+        alone = {}
+        for path in (CANTOR, PICK):
+            tdir = tmp_path / Path(path).stem
+            run(capsys, "check", path, "--prove", "--emit-traces", str(tdir))
+            alone[path] = {p.name: p.read_text() for p in tdir.iterdir()}
+        both = tmp_path / "both"
+        code, _, _ = run(capsys, "check", CANTOR, PICK, "--prove", "--emit-traces", str(both))
+        assert code == 0
+        assert sorted(p.name for p in both.iterdir()) == ["0-cantor", "1-pick"]
+        for sub, path in (("0-cantor", CANTOR), ("1-pick", PICK)):
+            got = {p.name: p.read_text() for p in (both / sub).iterdir()}
+            assert got == alone[path]
+        assert len(alone[CANTOR]) == 11 and len(alone[PICK]) == 2
+
+    def test_emit_embeddings_of_several_files(self, capsys, tmp_path):
+        alone = []
+        for path in (CANTOR, PICK):
+            target = tmp_path / f"{Path(path).stem}.txt"
+            run(capsys, "check", path, "--emit-embeddings", str(target))
+            alone.append(target.read_text())
+        target = tmp_path / "both.txt"
+        code, _, _ = run(capsys, "check", CANTOR, PICK, "--emit-embeddings", str(target))
+        assert code == 0
+        assert target.read_text() == "".join(alone)
+        assert len(target.read_text().splitlines()) == 13
+
+    def test_check_file_returns_the_embeddings(self, capsys, tmp_path):
+        target = tmp_path / "embeddings.txt"
+        run(capsys, "check", CANTOR, "--emit-embeddings", str(target))
+        config = cli.RunConfig([CANTOR], emit_embeddings=str(target))
+        assert cli.check_file(CANTOR, config, [].append) == (0, target.read_text())
+        assert cli.check_file(CANTOR, cli.RunConfig([CANTOR]), [].append) == (0, None)
+
     def test_only_restricts_proving(self, capsys):
         code, out, _ = run(
             capsys, "check", CANTOR, "--prove", "--format", "json",
@@ -199,6 +236,9 @@ class TestDeterminism:
     def test_output_byte_identical_across_runs(self, capsys):
         outs = []
         for _ in range(3):
+            # every run searches afresh, not from an earlier run's memo
+            prover.normalize.cache_clear()
+            prover._search.cache_clear()
             code, out, _ = run(capsys, "check", CANTOR, "--prove", "--format", "json")
             assert code == 0
             outs.append(out)
@@ -217,3 +257,39 @@ class TestDeterminism:
         assert all(
             l["millis"] is not None for l in raw["leaves"] if l["outcome"] is not None
         )
+
+
+class TestProveOncePerRun:
+    def test_every_proved_leaf_is_replayed(self, capsys, monkeypatch):
+        replays = []
+
+        def counted(sequent, trace):
+            replays.append(sequent)
+            return prover.replay_trace(sequent, trace)
+
+        monkeypatch.setattr(cli, "replay_trace", counted)
+        files = [str(p) for p in sorted(DATA.glob("**/*.tla"))]
+        code, out, _ = run(capsys, "check", "--prove", "--format", "json", *files)
+        assert code == 0
+        proved = out.count('"outcome": "proved"')
+        info = prover._search.cache_info()
+        assert info.hits > 0
+        assert len(replays) == proved == info.hits + info.misses == 61
+
+    def test_each_run_starts_with_an_empty_memo(self, capsys):
+        infos = []
+        for _ in range(2):
+            run(capsys, "check", CANTOR, "--prove")
+            infos.append(prover._search.cache_info())
+        # an earlier run's entries would turn the second run's misses into hits
+        assert infos[0] == infos[1] and infos[0].misses > 0
+
+    def test_reversed_file_order_gives_the_same_reports(self):
+        want = dict(
+            line.split() for line in MANIFEST.read_text(encoding="utf-8").splitlines()
+        )
+        paths = sorted(DATA.glob("**/*.tla"), reverse=True)
+        for path in paths:
+            digest = hashlib.sha256(report_bytes(path)).hexdigest()
+            assert digest == want[path.relative_to(DATA).as_posix()], path
+        assert prover._search.cache_info().hits > 0

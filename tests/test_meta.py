@@ -1,6 +1,7 @@
 """Obligation-level operations: visibility, reflection, filtration,
 expansion, embedding, well-formedness."""
 
+import copy
 import random
 
 import pytest
@@ -138,6 +139,17 @@ class TestFiltration:
         assert got.context[5].obligation.context == (inner.context[0],)
         assert got.context[5].obligation.context[0] is inner.context[0]
         assert got.goal is o.goal
+
+    def test_kept_hiding_agrees_with_a_full_walk(self):
+        # nested facts whose own contexts hide something at varying depths
+        rng = random.Random(5)
+        for _ in range(200):
+            inner = [rand_obligation(rng) for _ in range(2)]
+            o = Obligation(tuple(Fact(i) for i in inner), pe("TRUE"))
+            for x in (*inner, o):
+                assert x.hides == has_hidden(x)
+                assert (filter_obligation(x) is x) == (not has_hidden(x))
+            assert not has_hidden(filter_obligation(o))
 
     def test_idempotent_and_hidden_free(self):
         rng = random.Random(2)
@@ -546,3 +558,14 @@ def test_render_obligation_roundtrips_visibility_brackets():
     )
     text = render_obligation(o)
     assert "[P(x)]" in text and "[D == x]" in text
+
+
+def test_kept_rendering_is_that_of_a_fresh_copy():
+    rng = random.Random(7)
+    for _ in range(200):
+        o = Obligation(tuple(Fact(rand_obligation(rng)) for _ in range(2)), pe("TRUE"))
+        fresh = copy.deepcopy(o)
+        first = render_obligation(o)
+        # the second rendering reads every nested obligation's kept text
+        assert render_obligation(o) == first == render_obligation(fresh)
+        assert all(h.obligation.rendered == render_obligation(h.obligation) for h in o.context)

@@ -6,9 +6,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import rand_expr, rand_prop_sequent, rand_term, truth_table_valid
+from helpers import DATA, rand_expr, rand_prop_sequent, rand_term, truth_table_valid
 from proofmgr import prover
-from proofmgr.parser import parse_expression as pe
+from proofmgr.engine import check_theorem
+from proofmgr.parser import parse_expression as pe, parse_theorem
+from proofmgr.report import prepared_obligation
 from proofmgr.prover import (
     Budget,
     Malformed,
@@ -22,6 +24,8 @@ from proofmgr.prover import (
     sequent_from_obligation,
     _Subst,
     _Tableau,
+    _initial,
+    _search,
 )
 from proofmgr.meta import Def, New, Obligation, fact
 from proofmgr.syntax import (
@@ -439,7 +443,7 @@ class TestTerms:
             assert out is e
 
     def test_resolved_follows_a_rebind_after_undo(self):
-        t = _Tableau(Sequent((), (), pe("TRUE")))
+        t = _Tableau(_initial(Sequent((), (), pe("TRUE"))))
         i = t._add(OpApp("P", (Ident("?1"),)))
         mark = t.subst.mark()
         t.subst.bind("?1", Ident("a"))
@@ -461,7 +465,7 @@ class TestTerms:
         # an op (None, read) undoes the latest bind, (k, read) binds METAS[k]
         # if it is unbound; entries are resolved after the op when read is set
         rng = random.Random(seed)
-        t = _Tableau(Sequent((), (), pe("TRUE")))
+        t = _Tableau(_initial(Sequent((), (), pe("TRUE"))))
         ids = [t._add(rand_expr(rng, ["a", "b", *METAS], 3)) for _ in range(3)]
         marks = []
         for k, read in [*ops, (None, True)]:
@@ -509,10 +513,59 @@ class TestBudgets:
         for _ in range(20):
             seq = rand_prop_sequent(rng)
             a = prove(seq, BIG)
+            # the second call must search again, not read the memo
+            prover.normalize.cache_clear()
+            prover._search.cache_clear()
             b = prove(seq, BIG)
             assert type(a) is type(b)
             if isinstance(a, Proved):
                 assert a.trace == b.trace
+
+
+def corpus_sequents():
+    """(file name, leaf path, leaf kind, sequent) of every non-omitted
+    corpus leaf."""
+    for path in sorted(DATA.glob("**/*.tla")):
+        checked = check_theorem(parse_theorem(path.read_text(encoding="utf-8")))
+        for record in checked.records:
+            if not record.omitted:
+                leaf = ".".join(record.path)
+                seq = sequent_from_obligation(prepared_obligation(record))
+                yield path.name, leaf, record.kind, seq
+
+
+def cantor_qed() -> Sequent:
+    """The Cantor diagonal QED leaf, the corpus's slowest search."""
+    return next(
+        seq for name, leaf, kind, seq in corpus_sequents()
+        if (name, leaf, kind) == ("cantor.tla", "<1>1.<2>3", "by-goal")
+    )
+
+
+class TestMemo:
+    def test_memoised_outcome_equals_an_uncached_search(self):
+        budget = Budget()
+        for name, leaf, _, seq in corpus_sequents():
+            got = prove(seq, budget)
+            want = _search.__wrapped__(_initial(seq), budget)
+            assert got == want, (name, leaf)
+            assert isinstance(got, Proved) and got.trace == want.trace
+        # 61 leaves make 33 distinct initial tableaux
+        info = _search.cache_info()
+        assert (info.hits, info.misses) == (28, 33)
+
+    def test_timeout_is_never_stored(self):
+        seq = cantor_qed()
+        tight = Budget(timeout_ms=1)
+        for _ in range(2):
+            before = _search.cache_info()
+            out = prove(seq, tight)
+            assert isinstance(out, Unknown) and out.reason == "timeout"
+            after = _search.cache_info()
+            assert after.currsize == before.currsize
+            assert after.misses == before.misses + 1  # searched again
+        assert isinstance(prove(seq, Budget()), Proved)
+        assert _search.cache_info().currsize == 1
 
 
 class TestMalformed:
