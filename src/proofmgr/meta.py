@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 from .syntax import (
     Binder,
@@ -141,6 +141,30 @@ class Obligation:
         """``render_obligation``, kept for a nested obligation: sibling
         leaves share their facts, and each leaf's report renders them."""
         return render_obligation(self)
+
+    @cached_property
+    def bound_twice(self) -> Optional[str]:
+        """The first identifier that ``check_well_formed`` finds bound twice
+        within one context, at any nesting depth, or None.  This is all of
+        the check that does not depend on the scope; computed once, since
+        sibling leaves share most of their nested obligations."""
+        bound: set[str] = set()
+        for h in self.context:
+            match h:
+                case New(name):
+                    if name in bound:
+                        return name
+                    bound.add(name)
+                case Def(name, definable, _):
+                    if name in bound:
+                        return name
+                    if isinstance(definable, Obligation) and definable.bound_twice:
+                        return definable.bound_twice
+                    bound.add(name)
+                case Fact(obl, _):
+                    if obl.bound_twice:
+                        return obl.bound_twice
+        return None
 
     @cached_property
     def hides(self) -> bool:
@@ -288,7 +312,11 @@ def obligation_free_identifiers(o: Obligation) -> frozenset[str]:
 
 def check_well_formed(o: Obligation, scope: frozenset[str] = frozenset()) -> None:
     """Raise NotWellFormed unless the obligation is closed relative to scope
-    and no identifier is bound twice within any one context."""
+    and no identifier is bound twice within any one context.
+
+    A nested obligation is checked for scope as a whole (its ``free`` names
+    are in scope), which covers every scope check inside it; what remains
+    inside is ``bound_twice``."""
     bound: set[str] = set()
     for h in o.context:
         inner = scope | bound
@@ -305,14 +333,15 @@ def check_well_formed(o: Obligation, scope: frozenset[str] = frozenset()) -> Non
                     raise NotWellFormed(
                         f"definition of {name} mentions unbound {sorted(loose)}"
                     )
-                if isinstance(definable, Obligation):
-                    check_well_formed(definable, inner)
+                if isinstance(definable, Obligation) and definable.bound_twice:
+                    raise NotWellFormed(f"{definable.bound_twice} bound twice")
                 bound.add(name)
             case Fact(obl, _):
                 loose = obl.free - inner
                 if loose:
                     raise NotWellFormed(f"fact mentions unbound {sorted(loose)}")
-                check_well_formed(obl, inner)
+                if obl.bound_twice:
+                    raise NotWellFormed(f"{obl.bound_twice} bound twice")
     loose = free_identifiers(o.goal) - (scope | bound)
     if loose:
         raise NotWellFormed(f"goal mentions unbound {sorted(loose)}")

@@ -34,6 +34,15 @@ continues on its second introduced formula and pushes a branch for the first
 (the second part of a branching rule usually constrains the metavariables its
 side condition needs); ``close*`` pops.
 
+Closure tries only the pairs that may close, in the order of all pairs.
+Each entry keeps, from when it is added, the head of its formula and of the
+atom under its negation (``_keys``); a pair is a candidate when one
+member's atom and the other formula have the same head, or one of them is
+headed by a metavariable, or, with a congruence over the branch, is ground
+and in its pool, since only congruence makes different heads equal.  A trace
+line keeps the formulas it introduces as resolved when its rule fired, and
+its text is rendered once, for a search that succeeds.
+
 ``prove`` memoises the search per process on its exact input, the
 normalised initial entries and the budget, so each distinct obligation is
 searched once and an equal one gets the stored outcome.  A timeout is never
@@ -283,7 +292,7 @@ class _Subst:
         for g, other, g_ground in ((a, b, ga), (b, a, gb)):
             if not g_ground:
                 continue
-            for t in list(cc.pool):
+            for t in cc.pool:
                 if t == g or not cc.equal(g, t):
                     continue
                 mark = self.mark()
@@ -297,9 +306,8 @@ class _Subst:
 # Ground congruence closure
 
 
-def _pool_terms(e: Expr, pool: list[Expr]) -> None:
-    if e not in pool:
-        pool.append(e)
+def _pool_terms(e: Expr, pool: dict[Expr, None]) -> None:
+    pool.setdefault(e)
     match e:
         case Quant() | s.SetComp() | s.SetImage():
             return  # binder nodes are opaque leaves for congruence
@@ -309,8 +317,13 @@ def _pool_terms(e: Expr, pool: list[Expr]) -> None:
 
 
 class _Congruence:
+    """The congruence closure of a branch's ground equalities.  The pool
+    holds the equalities' terms and their subterms, in first-seen order, and
+    is fixed once built: a term outside it is in a class of its own, so a
+    query does not depend on the queries made before it."""
+
     def __init__(self, equalities: list[tuple[Expr, Expr]]):
-        self.pool: list[Expr] = []
+        self.pool: dict[Expr, None] = {}
         for a, b in equalities:
             _pool_terms(a, self.pool)
             _pool_terms(b, self.pool)
@@ -333,13 +346,12 @@ class _Congruence:
             self.parent[ra] = rb
 
     def _congruence_fixpoint(self) -> None:
+        terms = list(self.pool)
         changed = True
         while changed:
             changed = False
-            n = len(self.pool)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    a, b = self.pool[i], self.pool[j]
+            for i, a in enumerate(terms):
+                for b in terms[i + 1 :]:
                     if self._find(a) == self._find(b):
                         continue
                     if self._congruent(a, b):
@@ -368,10 +380,6 @@ class _Congruence:
     def equal(self, a: Expr, b: Expr) -> bool:
         if a == b:
             return True
-        if a not in self.parent and a not in self.pool:
-            _pool_terms(a, self.pool)
-        if b not in self.parent and b not in self.pool:
-            _pool_terms(b, self.pool)
         if self._find(a) == self._find(b):
             return True
         return self._congruent(a, b)
@@ -537,54 +545,94 @@ def _complements(e: Expr, other: Optional[Expr] = None) -> list[tuple[Expr, Expr
     return [(a.item, b) for a, b in ((e, other), (other, e)) if isinstance(a, Neg)]
 
 
+# The head of a metavariable: it unifies with a formula of any head.
+_ANY = "?"
+
+
+def _head(e: Expr):
+    """What top-level unification without congruence needs equal in two
+    terms: a constant's or an operator's name, else the node type."""
+    if isinstance(e, Ident):
+        return _ANY if e.name.startswith("?") else e.name
+    if isinstance(e, OpApp):
+        return e.name
+    return type(e)
+
+
+def _keys(e: Expr) -> tuple:
+    """(head of e, head of the atom under e's negation or None).  A
+    substitution replaces only metavariables, so neither changes unless it
+    is _ANY; a bare metavariable may come to stand for a negation."""
+    head = _head(e)
+    if head == _ANY:
+        return _ANY, _ANY
+    return head, _head(e.item) if isinstance(e, Neg) else None
+
+
 def _initial(sequent: Sequent) -> tuple[Expr, ...]:
     """The tableau's initial entries: the normalised hypotheses, then the
     negated normalised goal.  The search reads nothing else of a sequent."""
     return (*map(normalize, sequent.hypotheses), Neg(normalize(sequent.goal)))
 
 
+# An expansion not yet classified
+_UNSET = object()
+
+
+def _new_view(e: Expr) -> list:
+    """The view of an entry when it is added: kept for good when no
+    metavariable occurs in it, else made at the first read (version -1)."""
+    return [None, e, True, _UNSET] if _ground(e) else [-1, e, False, _UNSET]
+
+
 class _Tableau:
     """The entries of one tableau under a substitution, and the justification
     of every rule over them.  The search chooses which rule to apply where;
-    replay re-runs the same justification for each trace line."""
+    replay re-runs the same justification for each trace line.
+
+    Per entry id it keeps the entry's closure keys (``_keys``) and its view
+    under the substitution (``_view``); both are set when the entry is added
+    and dropped with it."""
 
     def __init__(self, initial: tuple[Expr, ...]):
         self.initial = initial
-        self.initial_ground = [_ground(e) for e in initial]
+        self.initial_keys = [_keys(e) for e in initial]
+        self.initial_views = [_new_view(e) for e in initial]
         self.restart()
 
     def restart(self) -> None:
         self.entries: list[Expr] = list(self.initial)
-        self.meta_free: list[bool] = list(self.initial_ground)
-        self.exp_cache: dict[int, Optional[tuple]] = {}
-        self.resolved_cache: dict[int, tuple[int, Expr]] = {}
+        self.keys: list[tuple] = list(self.initial_keys)
+        self.views: list[list] = list(self.initial_views)
         self.subst = _Subst()
 
     def _add(self, e: Expr) -> int:
         self.entries.append(e)
-        self.meta_free.append(_ground(e))
+        self.keys.append(_keys(e))
+        self.views.append(_new_view(e))
         return len(self.entries) - 1
 
+    def _view(self, i: int) -> list:
+        """[version, resolved form, ground, expansion] of entry i under the
+        current substitution.  It is memoised with the substitution's version
+        and made again when a bind or an effective undo changes the version;
+        an entry added without metavariables has version None and one view
+        for good.  The expansion is classified on first use."""
+        view = self.views[i]
+        if view[0] is not None and view[0] != self.subst.version:
+            e = self.subst.resolve(self.entries[i])
+            view = self.views[i] = [self.subst.version, e, _ground(e), _UNSET]
+        return view
+
     def _resolved(self, i: int) -> Expr:
-        """Entry i under the current substitution.  The form is memoised
-        with the substitution's version and reused until a bind or an
-        effective undo changes the version."""
-        if self.meta_free[i]:
-            return self.entries[i]
-        version = self.subst.version
-        hit = self.resolved_cache.get(i)
-        if hit is not None and hit[0] == version:
-            return hit[1]
-        e = self.subst.resolve(self.entries[i])
-        self.resolved_cache[i] = (version, e)
-        return e
+        """Entry i under the current substitution."""
+        return self._view(i)[1]
 
     def _expansion_of(self, i: int):
-        if self.meta_free[i]:
-            if i not in self.exp_cache:
-                self.exp_cache[i] = _expansion(self.entries[i])
-            return self.exp_cache[i]
-        return _expansion(self._resolved(i))
+        view = self._view(i)
+        if view[3] is _UNSET:
+            view[3] = _expansion(view[1])
+        return view[3]
 
     def _text(self, e: Expr) -> str:
         return pretty(self.subst.resolve(e))
@@ -592,8 +640,8 @@ class _Tableau:
     def _congruence(self, items: list[int]) -> Optional[_Congruence]:
         eqs: list[tuple[Expr, Expr]] = []
         for i in items:
-            e = self._resolved(i)
-            if isinstance(e, s.Eq) and _ground(e):
+            _, e, ground, _ = self._view(i)
+            if ground and isinstance(e, s.Eq):
                 eqs.append((e.left, e.right))
         if not eqs:
             return None
@@ -629,16 +677,16 @@ class _Tableau:
         cc = self._congruence(items)
         if cc is None:
             return None
-        shaped = [t for t in list(cc.pool) if isinstance(t, _SET_SHAPES)]
+        shaped = [t for t in cc.pool if isinstance(t, _SET_SHAPES)]
         if not shaped:
             return None
         present = {self._resolved(i) for i in items}
         for i in principals:
-            e = self._resolved(i)
+            _, e, ground, _ = self._view(i)
             inner = e.item if isinstance(e, Neg) else e
             if not isinstance(inner, s.In) or isinstance(inner.set, _SET_SHAPES):
                 continue
-            if not _ground(e):
+            if not ground:
                 continue
             for t in shaped:
                 if cc.equal(inner.set, t):
@@ -710,19 +758,19 @@ class _Search(_Tableau):
         if time.monotonic() > self.deadline:
             raise _Timeout()
 
-    def _emit(self, line: str) -> int:
-        self.trace.append(line)
+    def _emit(self, head: str, intro: tuple = ()) -> int:
+        """Add a trace line: its head fields, and the introduced entries as
+        (id, formula resolved now).  The text is rendered only for a proof
+        (``_render``): most lines are taken back when their branch fails."""
+        self.trace.append((head, intro))
         return len(self.trace)
 
     def _untrace(self, mark: int) -> None:
         del self.trace[mark - 1 :]
 
     def _pop(self, k: int) -> None:
-        for i in range(len(self.entries) - k, len(self.entries)):
-            self.exp_cache.pop(i, None)
-            self.resolved_cache.pop(i, None)
-        del self.entries[len(self.entries) - k :]
-        del self.meta_free[len(self.meta_free) - k :]
+        n = len(self.entries) - k
+        del self.entries[n:], self.keys[n:], self.views[n:]
 
     def _prove(self, cur: _Branch, rest: list[_Branch]) -> bool:
         self._check_time()
@@ -744,13 +792,12 @@ class _Search(_Tableau):
         bindings was found and committed to; result is the continuation's."""
         items = cur.items
         start = 0 if len(self.subst.trail) != cur.version else cur.checked
-        news = items[start:]
         if start and any(
-            isinstance(e, s.Eq) and _ground(e) for e in map(self._resolved, news)
+            ground and isinstance(e, s.Eq) for _, e, ground, _ in map(self._view, items[start:])
         ):
             # a new ground equality can make old pairs congruent
             start = 0
-            news = items
+        news = items[start:]
         # single-formula closures (commit: no bindings involved)
         for i in news:
             e = self._resolved(i)
@@ -762,8 +809,9 @@ class _Search(_Tableau):
                 self._emit(f"close-eq\t{i}\t")
                 self.closures += 1
                 return self._continue(rest)
-        # every pair with a new member: news is the suffix items[start:]
-        pairs = [(i, j) for ai, i in enumerate(items) for j in items[max(ai + 1, start) :]]
+        cc = self._congruence(items)
+        # the pairs with a new member that may close, in pair order
+        pairs = self._candidates(items, start, cc)
         # no-binding complementary pairs: commit
         for i, j in pairs:
             ei, ej = self._resolved(i), self._resolved(j)
@@ -773,28 +821,28 @@ class _Search(_Tableau):
                     self.closures += 1
                     return self._continue(rest)
         # congruence closures (no bindings: commit)
-        cc = self._congruence(cur.items)
         if cc is not None:
             for i in news:
-                e = self._resolved(i)
+                _, e, ground, _ = self._view(i)
                 if (
-                    isinstance(e, Neg)
+                    ground
+                    and isinstance(e, Neg)
                     and isinstance(e.item, s.Eq)
-                    and _ground(e)
                     and cc.equal(e.item.left, e.item.right)
                 ):
                     self._emit(f"close-eq\t{i}\t")
                     self.closures += 1
                     return self._continue(rest)
             for i, j in pairs:
-                ei, ej = self._resolved(i), self._resolved(j)
+                _, ei, gi, _ = self._view(i)
+                _, ej, gj, _ = self._view(j)
+                if not (gi and gj):
+                    continue
                 for a, b, x, y in ((ei, ej, i, j), (ej, ei, j, i)):
                     if (
                         isinstance(a, Neg)
                         and isinstance(a.item, _ATOMS)
                         and isinstance(b, _ATOMS)
-                        and _ground(a)
-                        and _ground(b)
                         and cc.equal_atom(a.item, b)
                     ):
                         self._emit(f"close\t{x}\t{y}\t")
@@ -811,6 +859,44 @@ class _Search(_Tableau):
             if found and self._close_binding(rest, cc, found, f"close\t{i}\t{j}"):
                 return True
         return None
+
+    def _candidates(self, items: list[int], start: int, cc) -> list[tuple[int, int]]:
+        """The pairs (i, j) of items, j at position start or later, that a
+        closure may close, in pair order: by the position of i, then of j.
+
+        Without congruence a pair closes only by unifying the atom under one
+        member's negation with the other member, so their heads (``_keys``)
+        must be equal or one of them _ANY.  Through cc, terms of different
+        heads unify only when one of them is ground and in cc's pool, so
+        such a formula or atom counts as _ANY."""
+        by_head: dict = {}  # head -> positions so far of the formulas with it
+        by_atom: dict = {}  # head -> positions so far of the negated atoms with it
+        negated: list[int] = []  # positions so far of the negations
+        found: list[tuple[int, int]] = []
+        for q, j in enumerate(items):
+            head, atom = self.keys[j]
+            if cc is not None:
+                _, e, ground, _ = self._view(j)
+                if ground:
+                    if e in cc.pool:
+                        head = _ANY
+                    if isinstance(e, Neg) and e.item in cc.pool:
+                        atom = _ANY
+            if q >= start:
+                if atom == _ANY:
+                    found.extend((p, q) for p in range(q))
+                else:
+                    ps = set(by_atom.get(_ANY, ()))
+                    ps.update(negated if head == _ANY else by_atom.get(head, ()))
+                    if atom is not None:
+                        ps.update(by_head.get(atom, ()), by_head.get(_ANY, ()))
+                    found.extend((p, q) for p in ps)
+            by_head.setdefault(head, []).append(q)
+            if atom is not None:
+                by_atom.setdefault(atom, []).append(q)
+                negated.append(q)
+        found.sort()
+        return [(items[p], items[q]) for p, q in found]
 
     def _close_binding(self, rest, cc, pairs, head: str) -> bool:
         for binds in self._closings(pairs, cc):
@@ -871,7 +957,7 @@ class _Search(_Tableau):
         name = f"?{self.counter}" if kind == "gamma" else f"!sk{self.counter}"
         inst = self._instance(exp, name)
         nid = self._add(inst)
-        mark_t = self._emit(f"{rule}\t{i}\t{name}\t{nid}:{self._text(inst)}")
+        mark_t = self._emit(f"{rule}\t{i}\t{name}", ((nid, self._resolved(nid)),))
         self.expansions += 1
         if kind == "gamma":
             nxt = cur.extend([nid], None, 1, len(self.subst.trail), gamma_of=i)
@@ -886,8 +972,7 @@ class _Search(_Tableau):
 
     def _apply_parts(self, cur, rest, i, rule, parts, branch=False) -> bool:
         ids = [self._add(p) for p in parts]
-        intro = "\t".join(f"{n}:{self._text(p)}" for n, p in zip(ids, parts))
-        mark_t = self._emit(f"{rule}\t{i}\t{intro}")
+        mark_t = self._emit(f"{rule}\t{i}", tuple((n, self._resolved(n)) for n in ids))
         self.expansions += 1
         version = len(self.subst.trail)
         if not branch or len(ids) == 1:
@@ -922,6 +1007,12 @@ def prove(sequent: Sequent, budget: Budget = Budget()) -> ProverOutcome:
         return Unknown("timeout", timeout.args[0])
 
 
+def _render(line: tuple[str, tuple]) -> str:
+    """The text of a trace line kept by ``_Search._emit``."""
+    head, intro = line
+    return "".join([head, *(f"\t{n}:{pretty(e)}" for n, e in intro), "\n"])
+
+
 @functools.lru_cache(maxsize=1024)
 def _search(initial: tuple[Expr, ...], budget: Budget) -> ProverOutcome:
     """The outcome of the search from the initial entries; raises _Timeout
@@ -933,7 +1024,7 @@ def _search(initial: tuple[Expr, ...], budget: Budget) -> ProverOutcome:
         for depth in range(1, budget.max_depth + 1):
             iterations += 1
             if search.run(depth):
-                return Proved("\n".join(search.trace) + "\n")
+                return Proved("".join(map(_render, search.trace)))
             if not search.cut:
                 break  # saturated: deeper iterations cannot differ
     except _Timeout:

@@ -521,6 +521,75 @@ class TestWellFormedness:
         assert obligation_free_identifiers(o) == {"Q", "y", "R"}
 
 
+def check_by_recursion(o: Obligation, scope: frozenset = frozenset()) -> None:
+    """Reference: check_well_formed checking every nested obligation again,
+    scope checks included."""
+    bound: set = set()
+    for h in o.context:
+        inner = scope | bound
+        match h:
+            case New(name):
+                if name in bound:
+                    raise NotWellFormed(f"{name} bound twice")
+                bound.add(name)
+            case Def(name, definable, _):
+                if name in bound:
+                    raise NotWellFormed(f"{name} bound twice")
+                loose = definable.free - inner
+                if loose:
+                    raise NotWellFormed(f"definition of {name} mentions unbound {sorted(loose)}")
+                if isinstance(definable, Obligation):
+                    check_by_recursion(definable, inner)
+                bound.add(name)
+            case Fact(obl, _):
+                loose = obl.free - inner
+                if loose:
+                    raise NotWellFormed(f"fact mentions unbound {sorted(loose)}")
+                check_by_recursion(obl, inner)
+    loose = free_identifiers(o.goal) - (scope | bound)
+    if loose:
+        raise NotWellFormed(f"goal mentions unbound {sorted(loose)}")
+
+
+@st.composite
+def loose_obligations(draw, depth=2):
+    """Obligations over three names, well-formed or not: at any depth a name
+    may be bound twice in one context or used unbound."""
+    names = st.sampled_from(["x", "y", "P"])
+    ctx = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.integers(0, 2 if depth else 1))
+        if kind == 0:
+            ctx.append(New(draw(names)))
+        elif kind == 1:
+            if depth:
+                body = draw(loose_obligations(depth - 1))
+            else:
+                body = Obligation((), Ident(draw(names)))
+            ctx.append(Def(draw(names), body))
+        else:
+            ctx.append(Fact(draw(loose_obligations(depth - 1))))
+    return Obligation(tuple(ctx), pe(f"{draw(names)} = {draw(names)}"))
+
+
+def first_error(check, o: Obligation):
+    try:
+        check(o)
+    except NotWellFormed as e:
+        return str(e)
+    return None
+
+
+class TestKeptChecks:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(loose_obligations(), st.frozensets(st.sampled_from(["x", "y", "P"])))
+    def test_first_error_is_that_of_the_full_recursion(self, o, scope):
+        want = first_error(lambda ob: check_by_recursion(ob, scope), o)
+        assert first_error(lambda ob: check_well_formed(ob, scope), o) == want
+        # again, with every nested obligation's check kept on it
+        assert first_error(lambda ob: check_well_formed(ob, scope), o) == want
+
+
 class TestAlphaObligation:
     def test_renamed_declaration(self):
         a = Obligation((New("x"),), pe("x = x"))

@@ -22,14 +22,19 @@ from proofmgr.prover import (
     prove,
     replay_trace,
     sequent_from_obligation,
+    _ATOMS,
+    _Search,
     _Subst,
     _Tableau,
+    _complements,
+    _ground,
     _initial,
     _search,
 )
 from proofmgr.meta import Def, New, Obligation, fact
 from proofmgr.syntax import (
     Binder,
+    Eq,
     Ident,
     Implies,
     In,
@@ -164,6 +169,21 @@ class TestEquality:
         proved(
             Sequent(("a", "b", "S"), (pe("a = b"), pe(r"a \in S")), pe(r"b \in S"))
         )
+
+    # Atoms of different heads are complementary only through a branch
+    # equality; the closure index must still offer the pair.
+    def test_congruence_closes_atoms_of_different_heads(self):
+        seq = Sequent(("P", "Q"), (pe("P = Q"), pe("Q")), pe("P"))
+        out = proved(seq)
+        assert out.trace == "close\t2\t1\t\n"
+        assert check_trace(seq, out.trace)
+
+    def test_congruence_binds_across_different_heads(self):
+        # ~P closes against Q(?1) only by ?1 := c, through P = Q(c)
+        seq = Sequent(("P", "Q", "c"), (pe("P = Q(c)"), pe(r"\A x : Q(x)")), pe("P"))
+        out = proved(seq)
+        assert out.trace == "gamma\t1\t?1\t3:Q(?1)\nclose\t2\t3\t?1 := c\n"
+        assert check_trace(seq, out.trace)
 
 
 class TestSetRules:
@@ -304,6 +324,15 @@ class TestTraces:
         result = replay_trace(seq, "alpha\t0\t1:nonsense")
         assert not result.ok
         assert "line 1" in result.error
+
+    def test_trace_text_is_the_formula_when_its_rule_fired(self):
+        # the closing line binds ?1; the gamma line still shows P(?1)
+        seq = Sequent(("P", "a"), (pe(r"\A x : P(x)"),), pe("P(a)"))
+        out = proved(seq)
+        assert out.trace == "gamma\t0\t?1\t2:P(?1)\nclose\t1\t2\t?1 := a\n"
+        assert check_trace(seq, out.trace)
+        # the same line rendered under the final bindings does not replay
+        assert not check_trace(seq, out.trace.replace("2:P(?1)", "2:P(a)"))
 
     def test_golden_trace_text(self):
         # the trace serialization is normative: pin one closed tableau
@@ -478,6 +507,106 @@ class TestTerms:
             if read:
                 for i in ids:
                     assert t._resolved(i) == rebuild(t.subst.map, t.entries[i])
+
+
+def ground_atom(rng):
+    return rng.choice([Ident("R"), OpApp(rng.choice("PQ"), (Ident(rng.choice("ab")),))])
+
+
+def literal(rng):
+    """A literal, negated or not, over a few heads; its atom may be a
+    metavariable, and its terms may hold metavariables."""
+    terms = ["a", "b", *METAS]
+    k = rng.randrange(6)
+    if k == 0:
+        atom = Ident(rng.choice(["R", *METAS]))
+    elif k == 1:
+        atom = OpApp(rng.choice("PQ"), (rand_term(rng, terms, 1),))
+    elif k == 2:
+        atom = In(rand_term(rng, terms, 1), Ident("S"))
+    elif k == 3:
+        atom = Eq(rand_term(rng, terms, 1), rand_term(rng, terms, 1))
+    else:
+        atom = ground_atom(rng)
+    return Neg(atom) if rng.random() < 0.5 else atom
+
+
+@st.composite
+def closure_branches(draw):
+    """A branch of literals under some bindings, maybe with ground
+    equalities between atoms (so a congruence), and a start position."""
+    rng = random.Random(draw(st.integers(0, 10**9)))
+    lits = [literal(rng) for _ in range(draw(st.integers(0, 8)))]
+    if draw(st.booleans()):
+        lits += [Eq(ground_atom(rng), ground_atom(rng)) for _ in range(draw(st.integers(1, 3)))]
+        rng.shuffle(lits)
+    t = _Search((), BIG, float("inf"))
+    items = [t._add(e) for e in lits]
+    for k in draw(st.permutations(range(len(METAS)))):
+        if draw(st.booleans()):
+            t.subst.bind(METAS[k], meta_value(rng, k))
+    return t, items, draw(st.integers(0, len(items)))
+
+
+def closes(t, i, j, cc) -> bool:
+    """Brute force: some pair of _complements unifies (through cc, if any),
+    or the two are congruent ground atoms."""
+    ei, ej = t._resolved(i), t._resolved(j)
+    for a, b in _complements(ei, ej):
+        mark = t.subst.mark()
+        unified = t.subst.unify(a, b, cc)
+        t.subst.undo(mark)
+        if unified:
+            return True
+    return (
+        cc is not None
+        and _ground(ei)
+        and _ground(ej)
+        and any(
+            isinstance(a, Neg)
+            and isinstance(a.item, _ATOMS)
+            and isinstance(b, _ATOMS)
+            and cc.equal_atom(a.item, b)
+            for a, b in ((ei, ej), (ej, ei))
+        )
+    )
+
+
+def may_close(t, i, j, cc) -> bool:
+    """The index's rule, pair by pair: a negated atom and the other formula
+    have the same head, or either is a metavariable as added, or, with cc,
+    ground and in its pool."""
+
+    def head(e):
+        return e.name if isinstance(e, (Ident, OpApp)) else type(e)
+
+    def meta(e):
+        return isinstance(e, Ident) and e.name.startswith("?")
+
+    for x, y in ((i, j), (j, i)):
+        added = t.entries[x]
+        if meta(added) or isinstance(added, Neg) and meta(added.item):
+            return True
+        if not isinstance(added, Neg):
+            continue
+        a, b = t._resolved(x).item, t._resolved(y)
+        if meta(t.entries[y]) or head(a) == head(b):
+            return True
+        if cc is not None and any(_ground(e) and e in cc.pool for e in (a, b)):
+            return True
+    return False
+
+
+class TestClosureIndex:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(closure_branches())
+    def test_candidates_keep_every_closable_pair_in_pair_order(self, case):
+        t, items, start = case
+        cc = t._congruence(items)
+        every = [(i, j) for ai, i in enumerate(items) for j in items[max(ai + 1, start) :]]
+        got = t._candidates(items, start, cc)
+        assert got == [p for p in every if may_close(t, *p, cc)]
+        assert {p for p in every if closes(t, *p, cc)} <= set(got)
 
 
 class TestBudgets:
