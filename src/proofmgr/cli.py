@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from contextlib import nullcontext
 from pathlib import Path
 from time import perf_counter
 from typing import Optional
@@ -55,9 +55,9 @@ EXIT_BY_STATUS = {
 }
 
 
-@dataclass
 class RunConfig:
-    paths: list[str]
+    """A run's options: the class attributes are the defaults."""
+
     prove_leaves: bool = False
     list_obligations: bool = False
     emit_embeddings: Optional[str] = None
@@ -71,6 +71,13 @@ class RunConfig:
     only: Optional[str] = None
     expand_filtered: bool = True
     timings: bool = False
+
+    def __init__(self, paths: list[str], **options) -> None:
+        self.paths = paths
+        for name, value in options.items():
+            if name not in RunConfig.__annotations__:
+                raise TypeError(f"RunConfig() got an unexpected keyword argument {name!r}")
+            setattr(self, name, value)
 
     def budget(self) -> Budget:
         return Budget(self.depth, self.timeout_ms, self.gamma_reuse)
@@ -193,18 +200,19 @@ def run(config: RunConfig) -> int:
         file_config = config
         if config.emit_traces and len(config.paths) > 1:
             trace_dir = Path(config.emit_traces) / f"{position}-{Path(path).stem}"
-            file_config = replace(config, emit_traces=str(trace_dir))
+            file_config = RunConfig(**{**vars(config), "emit_traces": str(trace_dir)})
         file_code, embeddings = check_file(path, file_config, chunks.append)
         code = max(code, file_code)
         if embeddings is not None:
             embedded.append(embeddings)
     if embedded:
         Path(config.emit_embeddings).write_text("".join(embedded), encoding="utf-8")
-    document = "\n".join(chunks) + "\n" if chunks else ""
-    if config.out:
-        Path(config.out).write_text(document, encoding="utf-8")
-    else:
-        sys.stdout.write(document)
+    # every file is checked before the report is written, chunk by chunk:
+    # the report is never held twice
+    with open(config.out, "w", encoding="utf-8") if config.out else nullcontext(sys.stdout) as out:
+        for chunk in chunks:
+            out.write(chunk)
+            out.write("\n")
     return code
 
 

@@ -18,8 +18,7 @@ that several errors can be reported in one run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from .meta import (
     Def,
@@ -71,8 +70,8 @@ from .syntax import (
     Implies,
     In,
     Neg,
+    Node,
     OpApp,
-    Pos,
     Quant,
     Subseteq,
     alpha_equal,
@@ -94,33 +93,21 @@ class MeaninglessError(Exception):
         self.obligation = obligation
 
 
-@dataclass(frozen=True)
-class StepError:
-    path: Path
-    message: str
-    obligation: Obligation
-    span: Optional[Pos] = None
+class StepError(Node):
+    __slots__ = ("path", "message", "obligation", "span")
+    _defaults = {"span": None}
 
 
-@dataclass(frozen=True)
-class LeafObligationRecord:
-    obligation: Obligation
-    path: Path
-    kind: str
-    omitted: bool = False
-    span: Optional[Pos] = None
+class LeafObligationRecord(Node):
+    __slots__ = ("obligation", "path", "kind", "omitted", "span")
+    _defaults = {"omitted": False, "span": None}
 
 
-@dataclass(frozen=True)
-class Derivation:
-    rule: str
-    input: Obligation
-    output: Optional[Obligation]
-    path: Path
-    children: tuple["Derivation", ...] = ()
-    leaves: tuple[LeafObligationRecord, ...] = ()
-    error: Optional[StepError] = None
-    span: Optional[Pos] = None
+class Derivation(Node):
+    # output: Optional[Obligation]; children: tuple[Derivation, ...];
+    # leaves: tuple[LeafObligationRecord, ...]; error: Optional[StepError]
+    __slots__ = ("rule", "input", "output", "path", "children", "leaves", "error", "span")
+    _defaults = {"children": (), "leaves": (), "error": None, "span": None}
 
 
 def leaf_obligations(d: Derivation) -> list[LeafObligationRecord]:
@@ -269,20 +256,12 @@ def _require_closed_obligation(o: Obligation, ctx: Obligation, what: str, path: 
 # The checker
 
 
-@dataclass(frozen=True)
-class StepOutcome:
-    output: Obligation
-    node: Derivation
+class StepOutcome(Node):
+    __slots__ = ("output", "node")  # Obligation, Derivation
 
 
-@dataclass(frozen=True)
-class CheckedTheorem:
-    theorem: Theorem
-    root: Obligation
-    derivation: Derivation
-    records: tuple[LeafObligationRecord, ...]
-    errors: tuple[StepError, ...]
-    warnings: tuple[str, ...]
+class CheckedTheorem(Node):
+    __slots__ = ("theorem", "root", "derivation", "records", "errors", "warnings")
 
     @property
     def meaningful(self) -> bool:

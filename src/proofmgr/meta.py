@@ -12,7 +12,6 @@ context, and is rendered as the bare expression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Optional, Union
 
@@ -22,6 +21,7 @@ from .syntax import (
     Ident,
     Implies,
     In,
+    Node,
     Quant,
     _alpha,
     alpha_equal,
@@ -73,14 +73,12 @@ class NotWellFormed(MetaError):
     pass
 
 
-@dataclass(frozen=True)
-class Lambda:
+class Lambda(Node):
     """Parameterized definable; parameters are pairwise distinct."""
 
-    params: tuple[str, ...]
-    body: Expr
+    __slots__ = ("params", "body", "__dict__")  # __dict__ keeps ``free``
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.params:
             raise ValueError("parameterless definables are stored as obligations")
         if len(set(self.params)) != len(self.params):
@@ -99,36 +97,30 @@ class Lambda:
         return subst_many(self.body, dict(zip(self.params, args)))
 
 
-@dataclass(frozen=True)
-class Assumption:
-    pass
+class Assumption(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class New(Assumption):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class Def(Assumption):
-    name: str
-    definable: Union["Obligation", Lambda]
-    hidden: bool = False
+    __slots__ = ("name", "definable", "hidden")  # definable: Obligation | Lambda
+    _defaults = {"hidden": False}
 
 
-@dataclass(frozen=True)
 class Fact(Assumption):
-    obligation: "Obligation"
-    hidden: bool = False
+    __slots__ = ("obligation", "hidden")
+    _defaults = {"hidden": False}
 
 
 Context = tuple[Assumption, ...]
 
 
-@dataclass(frozen=True)
-class Obligation:
-    context: Context
-    goal: Expr
+class Obligation(Node):
+    # context: Context, goal: Expr; __dict__ keeps the cached properties
+    __slots__ = ("context", "goal", "__dict__")
 
     @cached_property
     def free(self) -> frozenset[str]:
@@ -467,7 +459,8 @@ def _expand_obligation(o: Obligation, name: str, d) -> Obligation:
                     # h would capture a free name of d there: rename it apart.
                     fresh = fresh_name(h.name, d.free | rest.free | context_binds(o.context))
                     rest = _expand_obligation(rest, h.name, Obligation((), Ident(fresh)))
-                    out.append(_expand_assumption(replace(h, name=fresh), name, d))
+                    renamed = New(fresh) if isinstance(h, New) else Def(fresh, h.definable, h.hidden)
+                    out.append(_expand_assumption(renamed, name, d))
                     rest = _expand_obligation(rest, name, d)
                     return Obligation(tuple(out) + rest.context, rest.goal)
         out.append(_expand_assumption(h, name, d))
@@ -546,7 +539,7 @@ def obligation_to_expression(o: Obligation) -> Expr:
     for h in reversed(ctx):
         match h:
             case New(name):
-                out = Quant("forall", (Binder(name),), out)
+                out = Quant("forall", (Binder(name, None),), out)
             case Fact(obl, _):
                 out = Implies(obligation_to_expression(obl), out)
     return out

@@ -23,8 +23,6 @@ noise.  Line comments start with "\\*".
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Optional
 
 from .syntax import (
     And,
@@ -40,10 +38,12 @@ from .syntax import (
     In,
     Ne,
     Neg,
+    Node,
     NotIn,
     OpApp,
     Or,
     Pos,
+    Positioned,
     PowerSet,
     Quant,
     SetComp,
@@ -71,11 +71,9 @@ class LevelError(ParseError):
 # Proof AST
 
 
-@dataclass(frozen=True)
-class BeginStepToken:
-    level: int
-    label: Optional[str] = None
-    pos: Optional[Pos] = field(default=None, kw_only=True, compare=False, repr=False)
+class BeginStepToken(Positioned):
+    __slots__ = ("level", "label")
+    _defaults = {"label": None}
 
     @property
     def name(self) -> str:
@@ -85,139 +83,103 @@ class BeginStepToken:
         return self.name
 
 
-@dataclass(frozen=True)
-class GoalForm:
+class GoalForm(Node):
     """Either a bare expression or an ASSUME ... PROVE form."""
 
-    assumes: tuple["AssumeItem", ...]
-    goal: Expr
+    __slots__ = ("assumes", "goal")  # tuple[AssumeItem, ...], Expr
 
 
-@dataclass(frozen=True)
-class AssumeItem:
-    pass
+class AssumeItem(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class NewItem(AssumeItem):
-    name: str
-    domain: Optional[Expr] = None
+    __slots__ = ("name", "domain")
+    _defaults = {"domain": None}
 
 
-@dataclass(frozen=True)
 class FactItem(AssumeItem):
-    expr: Expr
+    __slots__ = ("expr",)
 
 
-@dataclass(frozen=True)
-class Proof:
-    pos: Optional[Pos] = field(default=None, kw_only=True, compare=False, repr=False)
+class Proof(Positioned):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Obvious(Proof):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Omitted(Proof):
-    implicit: bool = False
+    __slots__ = ("implicit",)
+    _defaults = {"implicit": False}
 
 
-@dataclass(frozen=True)
 class By(Proof):
-    facts: tuple[Expr, ...]
-    defs: tuple[str, ...]
+    __slots__ = ("facts", "defs")  # tuple[Expr, ...], tuple[str, ...]
 
 
-@dataclass(frozen=True)
 class NonLeaf(Proof):
-    steps: tuple["Step", ...]
+    __slots__ = ("steps",)  # tuple[Step, ...]
 
 
-@dataclass(frozen=True)
-class ProofStep:
-    pass
+class ProofStep(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class UseHideStep(ProofStep):
-    facts: tuple[Expr, ...]
-    defs: tuple[str, ...]
-    hide: bool
-    synthetic: bool = False  # inserted by lowering, never parsed
+    # synthetic: inserted by lowering, never parsed
+    __slots__ = ("facts", "defs", "hide", "synthetic")
+    _defaults = {"synthetic": False}
 
 
-@dataclass(frozen=True)
 class DefineStep(ProofStep):
-    name: str
-    params: tuple[str, ...]
-    body: Expr
+    __slots__ = ("name", "params", "body")
 
 
-@dataclass(frozen=True)
 class HaveStep(ProofStep):
-    expr: Expr
+    __slots__ = ("expr",)
 
 
-@dataclass(frozen=True)
 class TakeStep(ProofStep):
-    binders: tuple[Binder, ...]
+    __slots__ = ("binders",)  # tuple[Binder, ...]
 
 
-@dataclass(frozen=True)
-class WitnessItem:
-    expr: Expr
-    domain: Optional[Expr] = None
+class WitnessItem(Node):
+    __slots__ = ("expr", "domain")
+    _defaults = {"domain": None}
 
 
-@dataclass(frozen=True)
 class WitnessStep(ProofStep):
-    items: tuple[WitnessItem, ...]
+    __slots__ = ("items",)  # tuple[WitnessItem, ...]
 
 
-@dataclass(frozen=True)
 class AssertStep(ProofStep):
-    goal_form: GoalForm
-    proof: Proof
+    __slots__ = ("goal_form", "proof")
 
 
-@dataclass(frozen=True)
 class SufficesStep(ProofStep):
-    goal_form: GoalForm
-    proof: Proof
+    __slots__ = ("goal_form", "proof")
 
 
-@dataclass(frozen=True)
 class PickStep(ProofStep):
-    binders: tuple[Binder, ...]
-    body: Expr
-    proof: Proof
+    __slots__ = ("binders", "body", "proof")
 
 
-@dataclass(frozen=True)
 class CaseStep(ProofStep):
-    expr: Expr
-    proof: Proof
+    __slots__ = ("expr", "proof")
 
 
-@dataclass(frozen=True)
 class QedStep(ProofStep):
-    proof: Proof
+    __slots__ = ("proof",)
 
 
-@dataclass(frozen=True)
-class Step:
-    token: BeginStepToken
-    body: ProofStep
-    pos: Optional[Pos] = field(default=None, kw_only=True, compare=False, repr=False)
+class Step(Positioned):
+    __slots__ = ("token", "body")  # BeginStepToken, ProofStep
 
 
-@dataclass(frozen=True)
-class Theorem:
-    name: Optional[str]
-    goal_form: GoalForm
-    proof: Proof
+class Theorem(Node):
+    __slots__ = ("name", "goal_form", "proof")  # Optional[str], GoalForm, Proof
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +195,10 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _STEP_RE = re.compile(r"<(\d+)>([A-Za-z0-9_]*)")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # keyword text, symbol text, or IDENT/STEPDOT/STEPREF/EOF
-    value: str
-    pos: Pos
+class Token(Node):
+    # kind: keyword text, symbol text, or IDENT/STEPDOT/STEPREF/EOF; unlike
+    # a positioned node's, a token's pos is a field, compared and shown
+    __slots__ = ("kind", "value", "pos")
 
 
 def tokenize(text: str) -> list[Token]:
@@ -785,16 +746,6 @@ def validate_levels(proof: Proof, min_level: int = 0) -> None:
         is_last = idx == len(proof.steps) - 1
         if isinstance(step.body, QedStep) != is_last:
             raise LevelError(f"QED placement violated at {tok.name}", where)
-        sub = _subproof_of(step.body)
+        sub = getattr(step.body, "proof", None)  # a step's subproof
         if sub is not None:
             validate_levels(sub, tok.level)
-
-
-def _subproof_of(body: ProofStep) -> Optional[Proof]:
-    match body:
-        case AssertStep(_, proof) | SufficesStep(_, proof) | QedStep(proof):
-            return proof
-        case PickStep(_, _, proof) | CaseStep(_, proof):
-            return proof
-        case _:
-            return None

@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from . import syntax as s
@@ -61,45 +60,36 @@ from .meta import Def, Fact, New, Obligation, obligation_to_expression
 from .syntax import Binder, Expr, Ident, Neg, OpApp, Quant, free_identifiers, map_children, pretty
 
 
-@dataclass(frozen=True)
-class Budget:
-    max_depth: int = 12
-    timeout_ms: int = 5000
-    gamma_reuse: int = 4
+class Budget(s.Node):
+    __slots__ = ("max_depth", "timeout_ms", "gamma_reuse")
+    _defaults = {"max_depth": 12, "timeout_ms": 5000, "gamma_reuse": 4}
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.max_depth <= 0 or self.timeout_ms <= 0 or self.gamma_reuse <= 0:
             raise ValueError("budget fields must be positive")
 
 
-@dataclass(frozen=True)
-class Sequent:
-    constants: tuple[str, ...]
-    hypotheses: tuple[Expr, ...]
-    goal: Expr
+class Sequent(s.Node):
+    # constants: tuple[str, ...], hypotheses: tuple[Expr, ...], goal: Expr
+    __slots__ = ("constants", "hypotheses", "goal")
 
 
-@dataclass(frozen=True)
-class Stats:
-    iterations: int = 0
-    expansions: int = 0
-    closures: int = 0
+class Stats(s.Node):
+    __slots__ = ("iterations", "expansions", "closures")
+    _defaults = {"iterations": 0, "expansions": 0, "closures": 0}
 
 
-@dataclass(frozen=True)
-class Proved:
-    trace: str
+class Proved(s.Node):
+    __slots__ = ("trace",)
 
 
-@dataclass(frozen=True)
-class Unknown:
-    reason: str
-    stats: Stats = field(default_factory=Stats)
+class Unknown(s.Node):
+    __slots__ = ("reason", "stats")
+    _defaults = {"stats": Stats()}
 
 
-@dataclass(frozen=True)
-class Malformed:
-    reason: str
+class Malformed(s.Node):
+    __slots__ = ("reason",)
 
 
 ProverOutcome = Union[Proved, Unknown, Malformed]
@@ -147,11 +137,11 @@ def normalize(e: Expr) -> Expr:
             for b in reversed(binders):
                 dom = normalize(b.domain) if b.domain is not None else None
                 if dom is None:
-                    out = Quant(kind, (Binder(b.name),), out)
+                    out = Quant(kind, (Binder(b.name, None),), out)
                 elif kind == "forall":
-                    out = Quant(kind, (Binder(b.name),), s.Implies(s.In(Ident(b.name), dom), out))
+                    out = Quant(kind, (Binder(b.name, None),), s.Implies(s.In(Ident(b.name), dom), out))
                 else:
-                    out = Quant(kind, (Binder(b.name),), s.And(s.In(Ident(b.name), dom), out))
+                    out = Quant(kind, (Binder(b.name, None),), s.And(s.In(Ident(b.name), dom), out))
         case _:
             out = map_children(e, normalize)
     return e if out == e else out
@@ -454,7 +444,7 @@ def _expansion(e: Expr) -> Optional[tuple[str, str, object]]:
             return (
                 "set-of-all",
                 "alpha",
-                [Quant("exists", (Binder(y),), s.And(s.In(Ident(y), dom), s.Eq(a, inst)))],
+                [Quant("exists", (Binder(y, None),), s.And(s.In(Ident(y), dom), s.Eq(a, inst)))],
             )
         case Neg(s.In(a, s.SetImage(expr, v, dom))):
             y = _fresh_bound(v, a, expr, dom)
@@ -465,7 +455,7 @@ def _expansion(e: Expr) -> Optional[tuple[str, str, object]]:
                 [
                     Quant(
                         "forall",
-                        (Binder(y),),
+                        (Binder(y, None),),
                         Neg(s.And(s.In(Ident(y), dom), s.Eq(a, inst))),
                     )
                 ],
@@ -482,7 +472,7 @@ def _expansion(e: Expr) -> Optional[tuple[str, str, object]]:
                 [
                     Quant(
                         "forall",
-                        (Binder(z),),
+                        (Binder(z, None),),
                         s.Implies(s.In(Ident(z), a), s.In(Ident(z), b)),
                     )
                 ],
@@ -496,7 +486,7 @@ def _expansion(e: Expr) -> Optional[tuple[str, str, object]]:
                     Neg(
                         Quant(
                             "forall",
-                            (Binder(z),),
+                            (Binder(z, None),),
                             s.Implies(s.In(Ident(z), a), s.In(Ident(z), b)),
                         )
                     )
@@ -510,7 +500,7 @@ def _expansion(e: Expr) -> Optional[tuple[str, str, object]]:
                 [
                     Quant(
                         "forall",
-                        (Binder(z),),
+                        (Binder(z, None),),
                         s.Implies(s.In(Ident(z), dom), s.In(s.FnApp(f, Ident(z)), cod)),
                     )
                 ],
@@ -524,7 +514,7 @@ def _expansion(e: Expr) -> Optional[tuple[str, str, object]]:
                     Neg(
                         Quant(
                             "forall",
-                            (Binder(z),),
+                            (Binder(z, None),),
                             s.Iff(s.In(Ident(z), a), s.In(Ident(z), b)),
                         )
                     )
@@ -1039,10 +1029,9 @@ def _search(initial: tuple[Expr, ...], budget: Budget) -> ProverOutcome:
 # Trace replay
 
 
-@dataclass(frozen=True)
-class ReplayResult:
-    ok: bool
-    error: Optional[str] = None
+class ReplayResult(s.Node):
+    __slots__ = ("ok", "error")
+    _defaults = {"error": None}
 
 
 def replay_trace(sequent: Sequent, trace: str) -> ReplayResult:

@@ -16,40 +16,33 @@ did not match any rule), and CHECKED (structure-only run, nothing attempted).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from .engine import CheckedTheorem, LeafObligationRecord
 from .meta import Obligation, embed, expand_all_usable, filter_obligation, render_obligation
+from .syntax import Node
 
 STATUSES = ("PROVED", "INCOMPLETE", "FAILED", "MEANINGLESS", "CHECKED")
 
 
-@dataclass(frozen=True)
-class LeafEntry:
-    id: int
-    path: str
-    kind: str
-    omitted: bool
-    obligation: str
-    filtered: str
-    embedding: str
-    outcome: Optional[str]  # proved | unknown | malformed | None (not attempted)
-    millis: Optional[float]
+class LeafEntry(Node):
+    # outcome: proved | unknown | malformed | None (not attempted)
+    __slots__ = (
+        "id", "path", "kind", "omitted", "obligation", "filtered", "embedding", "outcome", "millis"
+    )
 
 
-@dataclass(frozen=True)
-class ErrorEntry:
-    path: str
-    message: str
+class ErrorEntry(Node):
+    __slots__ = ("path", "message")
 
 
-@dataclass(frozen=True)
-class ObligationReport:
-    theorem: Optional[str]
-    status: str
-    leaves: tuple[LeafEntry, ...]
-    errors: tuple[ErrorEntry, ...] = ()
+class ObligationReport(Node):
+    __slots__ = ("theorem", "status", "leaves", "errors")
+    _defaults = {"errors": ()}
+
+
+def _fields_of(record: Node) -> dict:
+    return {f: getattr(record, f) for f in record._fields}
 
 
 def prepared_obligation(record: LeafObligationRecord, expand: bool = True) -> Obligation:
@@ -115,7 +108,10 @@ def compute_status(
 
 def write_report(report: ObligationReport, fmt: str = "json") -> str:
     if fmt == "json":
-        return json.dumps(asdict(report), indent=2) + "\n"
+        document = _fields_of(report)
+        document["leaves"] = [_fields_of(leaf) for leaf in report.leaves]
+        document["errors"] = [_fields_of(error) for error in report.errors]
+        return json.dumps(document, indent=2) + "\n"
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
     lines = [f"theorem {report.theorem or '(unnamed)'}: {report.status}"]

@@ -1,15 +1,16 @@
 """Expression ASTs for the first-order set-theory term/formula language.
 
-Nodes are immutable and hashable; source positions are carried on every node
-but excluded from equality so that structurally identical expressions compare
-equal regardless of where they were parsed.  Each node (and each ``Binder``)
-computes its structural hash on first use and caches it on the instance, so
-hashing a term costs O(1) per node once; ``pretty`` caches a term's
-rendering on its root node the same way, so a term that sibling leaves
-share is rendered once.  String hashes are salted per process, so the
-cached hash is left out of a node's pickled (and copied) state and
-recomputed wherever the node is loaded; the cached rendering is left out
-with it.
+Every record of proofmgr, expression nodes included, is a ``Node``: a
+slotted, immutable record whose fields are listed once, in ``__slots__``.
+Equality compares the fields of two nodes of the same class; source
+positions are carried on expression and proof nodes but are no field, so
+structurally identical expressions compare equal regardless of where they
+were parsed.  Each node computes its structural hash on first use and
+caches it in a slot, so hashing a term costs O(1) per node once; ``pretty``
+caches a term's rendering on its root node the same way, so a term that
+sibling leaves share is rendered once.  String hashes are salted per
+process, so a node pickles (and copies) as its class and fields only: the
+cached hash and rendering are recomputed wherever the node is loaded.
 
 Scoping: quantifiers, set comprehensions and image sets bind their binder
 names in their body only; binder domains are scoped to the enclosing context
@@ -18,188 +19,270 @@ names in their body only; binder domains are scoped to the enclosing context
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterator, Mapping, Optional
 
+_NO = object()  # a field not given positionally
 
-@dataclass(frozen=True)
-class Pos:
-    line: int
-    col: int
+
+class Node:
+    """An immutable record.  A subclass lists its fields in ``__slots__``
+    (after its bases'; a slot named with a leading underscore is no field),
+    and may give ``_defaults`` (field -> value) and a ``_check`` run on each
+    new instance.  From these come, once per class, ``_fields``,
+    ``__match_args__``, a constructor specialised to the number of fields,
+    and ``__eq__`` and a cached ``__hash__`` over the fields."""
+
+    __slots__ = ("_hash",)
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+    _check = None
+
+    def __init_subclass__(cls) -> None:
+        if "__slots__" not in cls.__dict__:
+            raise TypeError(f"{cls.__name__} must declare __slots__")
+        fields = cls._fields + tuple(f for f in cls.__slots__ if not f.startswith("_"))
+        cls._fields = cls.__match_args__ = fields
+        if len(fields) == 1:
+            key = attrgetter(fields[0])  # compared as a scalar, hashed as a 1-tuple
+            astuple = lambda self: (key(self),)  # noqa: E731
+        else:
+            key = astuple = attrgetter(*fields) if fields else lambda self: ()
+        set_hash = Node._hash.__set__  # type: ignore[attr-defined]
+
+        def __eq__(self, other):
+            if type(other) is cls:
+                return key(self) == key(other)
+            return NotImplemented
+
+        def __hash__(self):
+            try:
+                return self._hash
+            except AttributeError:
+                h = hash(astuple(self))
+                set_hash(self, h)
+                return h
+
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
+        init = _init([getattr(cls, f).__set__ for f in fields])
+        if cls._check is not None:
+            plain = init
+
+            def init(self, *args, **kw):
+                plain(self, *args, **kw)
+                self._check()
+
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __reduce__(self):
+        # the state, a positioned node's position, goes to __setstate__
+        return type(self), tuple(getattr(self, f) for f in self._fields), getattr(self, "_pos", None)
+
+
+def _init(setters):
+    """A constructor writing the fields through their slots' setters; a call
+    that does not give every field positionally goes through ``_bind``."""
+    if len(setters) == 1:
+        (s0,) = setters
+
+        def __init__(self, a=_NO, **kw):
+            if kw or a is _NO:
+                (a,) = _bind(self, (a,), kw)
+            s0(self, a)
+
+    elif len(setters) == 2:
+        s0, s1 = setters
+
+        def __init__(self, a=_NO, b=_NO, **kw):
+            if kw or b is _NO:
+                a, b = _bind(self, (a, b), kw)
+            s0(self, a)
+            s1(self, b)
+
+    elif len(setters) == 3:
+        s0, s1, s2 = setters
+
+        def __init__(self, a=_NO, b=_NO, c=_NO, **kw):
+            if kw or c is _NO:
+                a, b, c = _bind(self, (a, b, c), kw)
+            s0(self, a)
+            s1(self, b)
+            s2(self, c)
+
+    else:
+
+        def __init__(self, *args, **kw):
+            for setter, value in zip(setters, _bind(self, args, kw)):
+                setter(self, value)
+
+    return __init__
+
+
+def _bind(node: Node, args: tuple, kw: dict) -> list:
+    """All field values of a constructor call from its positional arguments
+    (a template passes ``_NO`` for those not given), its keywords and the
+    class's defaults; a positioned node also takes ``pos``."""
+    cls = type(node)
+    fields = cls._fields
+    if "pos" in kw and isinstance(node, Positioned):
+        _set_pos(node, kw.pop("pos"))
+        if not kw and len(args) == len(fields) and (not args or args[-1] is not _NO):
+            return args
+    name = cls.__name__
+    while args and args[-1] is _NO:
+        args = args[:-1]
+    if len(args) > len(fields):
+        raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+    values = list(args)
+    for f in fields[len(args):]:
+        if f in kw:
+            values.append(kw.pop(f))
+        elif f in cls._defaults:
+            values.append(cls._defaults[f])
+        else:
+            raise TypeError(f"{name}() missing required argument {f!r}")
+    if kw:
+        raise TypeError(f"{name}() got an unexpected or repeated argument {next(iter(kw))!r}")
+    return values
+
+
+class Positioned(Node):
+    """A node that may carry a source position (keyword ``pos``): no field,
+    so neither compared nor shown."""
+
+    __slots__ = ("_pos",)
+    pos = property(lambda self: getattr(self, "_pos", None))
+
+    def __setstate__(self, pos: Pos) -> None:
+        _set_pos(self, pos)
+
+
+_set_pos = Positioned._pos.__set__  # type: ignore[attr-defined]
+
+
+class Pos(Node):
+    __slots__ = ("line", "col")
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}"
 
 
-@dataclass(frozen=True)
-class Expr:
-    pos: Optional[Pos] = field(default=None, kw_only=True, compare=False, repr=False)
+class Expr(Positioned):
+    __slots__ = ("_pretty",)
 
 
-@dataclass(frozen=True)
+_set_pretty = Expr._pretty.__set__  # type: ignore[attr-defined]
+
+
 class Ident(Expr):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class OpApp(Expr):
     """Operator application with explicit arguments, ``P(a, b)``."""
 
-    name: str
-    args: tuple[Expr, ...]
+    __slots__ = ("name", "args")
 
 
-@dataclass(frozen=True)
 class FnApp(Expr):
     """Function application ``f[x]``."""
 
-    fn: Expr
-    arg: Expr
+    __slots__ = ("fn", "arg")
 
 
-@dataclass(frozen=True)
-class Binder:
+class Binder(Node):
     """One quantifier binder: a bare name or ``name \\in domain``."""
 
-    name: str
-    domain: Optional[Expr] = None
+    __slots__ = ("name", "domain")
+    _defaults = {"domain": None}
 
 
-@dataclass(frozen=True)
 class Quant(Expr):
-    kind: str  # "forall" | "exists"
-    binders: tuple[Binder, ...]
-    body: Expr
+    __slots__ = ("kind", "binders", "body")  # kind: "forall" | "exists"
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.binders:
             raise ValueError("quantifier requires at least one binder")
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    item: Expr
+    __slots__ = ("item",)
 
 
-@dataclass(frozen=True)
 class And(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Or(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Implies(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Iff(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Eq(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Ne(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class In(Expr):
-    item: Expr
-    set: Expr
+    __slots__ = ("item", "set")
 
 
-@dataclass(frozen=True)
 class NotIn(Expr):
-    item: Expr
-    set: Expr
+    __slots__ = ("item", "set")
 
 
-@dataclass(frozen=True)
 class Subseteq(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class PowerSet(Expr):
     """``SUBSET e``: the set of subsets of e."""
 
-    set: Expr
+    __slots__ = ("set",)
 
 
-@dataclass(frozen=True)
 class SetComp(Expr):
     """Bounded comprehension ``{x \\in S : P}``; binds var in pred."""
 
-    var: str
-    domain: Expr
-    pred: Expr
+    __slots__ = ("var", "domain", "pred")
 
 
-@dataclass(frozen=True)
 class SetImage(Expr):
     """Image set ``{e : x \\in S}``; binds var in expr."""
 
-    expr: Expr
-    var: str
-    domain: Expr
+    __slots__ = ("expr", "var", "domain")
 
 
-@dataclass(frozen=True)
 class FuncSpace(Expr):
     """``[S -> T]``: the set of functions from S to T."""
 
-    dom: Expr
-    cod: Expr
+    __slots__ = ("dom", "cod")
 
 
-@dataclass(frozen=True)
 class Bool(Expr):
-    value: bool
-
-
-def _cache_hash(cls: type) -> None:
-    """Wrap cls's dataclass-generated structural hash so it is computed once
-    per instance, and keep the cached hash and rendering out of the pickled
-    state."""
-    structural = cls.__hash__
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = structural(self)
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        state.pop("_pretty", None)
-        return state
-
-    cls.__hash__ = __hash__  # type: ignore[method-assign]
-    cls.__getstate__ = __getstate__  # type: ignore[attr-defined]
-
-
-for _cls in (Binder, *Expr.__subclasses__()):
-    _cache_hash(_cls)
+    __slots__ = ("value",)
 
 
 TRUE = Bool(True)
@@ -522,7 +605,7 @@ def pretty(e: Expr) -> str:
         return e._pretty  # type: ignore[attr-defined]
     except AttributeError:
         out = _render(e)
-        object.__setattr__(e, "_pretty", out)
+        _set_pretty(e, out)
         return out
 
 

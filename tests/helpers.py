@@ -220,7 +220,7 @@ def mutate_token_level(proof, target, new_level):
                 if new_sub is not sub:
                     body = type(body)(
                         **{
-                            **{f: getattr(body, f) for f in body.__dataclass_fields__},
+                            **{f: getattr(body, f) for f in body._fields},
                             "proof": new_sub,
                         }
                     )

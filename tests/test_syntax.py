@@ -13,8 +13,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import proofmgr
-from helpers import rand_expr
-from proofmgr.syntax import children
+from helpers import (
+    cantor_text,
+    rand_expr,
+    rand_obligation,
+    rand_prop_sequent,
+    rand_wellformed_proof,
+)
+from proofmgr import engine as E, meta as M, parser as P, prover as V, report as R, syntax as S
+from proofmgr.syntax import Node, Positioned, children
 
 
 def nodes(e):
@@ -221,7 +228,7 @@ class TestHash:
             assert twin == e
             for n in nodes(twin):
                 for obj in (n, *getattr(n, "binders", ())):
-                    assert "_hash" not in vars(obj) and "_pretty" not in vars(obj)
+                    assert not hasattr(obj, "_hash") and not hasattr(obj, "_pretty")
 
     def test_unpickled_term_hashes_as_built_in_a_process_with_another_seed(self):
         # string hashes are salted per process: a hash cached in this process
@@ -239,7 +246,7 @@ class TestHash:
             "    for c in children(e):\n"
             "        yield from nodes(c)\n"
             "loaded = pickle.loads(sys.stdin.buffer.read())\n"
-            "assert not any('_pretty' in vars(n) for n in nodes(loaded))\n"
+            "assert not any(hasattr(n, '_hash') or hasattr(n, '_pretty') for n in nodes(loaded))\n"
             "fresh = parse_expression(sys.argv[1])\n"
             "assert loaded == fresh\n"
             "assert {fresh: 0}[loaded] == 0\n"
@@ -262,3 +269,269 @@ class TestHash:
             timeout=60,
         )
         assert proc.returncode == 0, proc.stderr.decode()
+
+
+# ---------------------------------------------------------------------------
+# Every record is a Node.  These pin what the frozen dataclasses it replaced
+# did: the field order, the repr, equality, hashing, immutability and copies.
+
+_X, _Y = S.Ident("x"), S.Ident("y")
+_AT = S.Pos(3, 4)
+
+# (class, its fields in order, positional arguments, repr)
+RECORDS = [
+    (S.Pos, ("line", "col"), (1, 2), "Pos(line=1, col=2)"),
+    (S.Expr, (), (), "Expr()"),
+    (S.Ident, ("name",), ("x",), "Ident(name='x')"),
+    (S.OpApp, ("name", "args"), ("P", (_X, _Y)),
+     "OpApp(name='P', args=(Ident(name='x'), Ident(name='y')))"),
+    (S.FnApp, ("fn", "arg"), (_X, _Y), "FnApp(fn=Ident(name='x'), arg=Ident(name='y'))"),
+    (S.Binder, ("name", "domain"), ("x", _Y), "Binder(name='x', domain=Ident(name='y'))"),
+    (S.Quant, ("kind", "binders", "body"), ("forall", (S.Binder("x"),), _X),
+     "Quant(kind='forall', binders=(Binder(name='x', domain=None),), body=Ident(name='x'))"),
+    (S.Neg, ("item",), (_X,), "Neg(item=Ident(name='x'))"),
+    (S.And, ("left", "right"), (_X, _Y), "And(left=Ident(name='x'), right=Ident(name='y'))"),
+    (S.Or, ("left", "right"), (_X, _Y), "Or(left=Ident(name='x'), right=Ident(name='y'))"),
+    (S.Implies, ("left", "right"), (_X, _Y),
+     "Implies(left=Ident(name='x'), right=Ident(name='y'))"),
+    (S.Iff, ("left", "right"), (_X, _Y), "Iff(left=Ident(name='x'), right=Ident(name='y'))"),
+    (S.Eq, ("left", "right"), (_X, _Y), "Eq(left=Ident(name='x'), right=Ident(name='y'))"),
+    (S.Ne, ("left", "right"), (_X, _Y), "Ne(left=Ident(name='x'), right=Ident(name='y'))"),
+    (S.In, ("item", "set"), (_X, _Y), "In(item=Ident(name='x'), set=Ident(name='y'))"),
+    (S.NotIn, ("item", "set"), (_X, _Y), "NotIn(item=Ident(name='x'), set=Ident(name='y'))"),
+    (S.Subseteq, ("left", "right"), (_X, _Y),
+     "Subseteq(left=Ident(name='x'), right=Ident(name='y'))"),
+    (S.PowerSet, ("set",), (_X,), "PowerSet(set=Ident(name='x'))"),
+    (S.SetComp, ("var", "domain", "pred"), ("z", _X, _Y),
+     "SetComp(var='z', domain=Ident(name='x'), pred=Ident(name='y'))"),
+    (S.SetImage, ("expr", "var", "domain"), (_X, "z", _Y),
+     "SetImage(expr=Ident(name='x'), var='z', domain=Ident(name='y'))"),
+    (S.FuncSpace, ("dom", "cod"), (_X, _Y),
+     "FuncSpace(dom=Ident(name='x'), cod=Ident(name='y'))"),
+    (S.Bool, ("value",), (True,), "Bool(value=True)"),
+    (P.BeginStepToken, ("level", "label"), (1, "a"), "BeginStepToken(level=1, label='a')"),
+    (P.GoalForm, ("assumes", "goal"), ((), _X), "GoalForm(assumes=(), goal=Ident(name='x'))"),
+    (P.AssumeItem, (), (), "AssumeItem()"),
+    (P.NewItem, ("name", "domain"), ("x", _Y), "NewItem(name='x', domain=Ident(name='y'))"),
+    (P.FactItem, ("expr",), (_X,), "FactItem(expr=Ident(name='x'))"),
+    (P.Proof, (), (), "Proof()"),
+    (P.Obvious, (), (), "Obvious()"),
+    (P.Omitted, ("implicit",), (True,), "Omitted(implicit=True)"),
+    (P.By, ("facts", "defs"), ((_X,), ("D",)), "By(facts=(Ident(name='x'),), defs=('D',))"),
+    (P.NonLeaf, ("steps",), ((),), "NonLeaf(steps=())"),
+    (P.ProofStep, (), (), "ProofStep()"),
+    (P.UseHideStep, ("facts", "defs", "hide", "synthetic"), ((_X,), ("D",), True, False),
+     "UseHideStep(facts=(Ident(name='x'),), defs=('D',), hide=True, synthetic=False)"),
+    (P.DefineStep, ("name", "params", "body"), ("D", ("p",), _X),
+     "DefineStep(name='D', params=('p',), body=Ident(name='x'))"),
+    (P.HaveStep, ("expr",), (_X,), "HaveStep(expr=Ident(name='x'))"),
+    (P.TakeStep, ("binders",), ((S.Binder("x"),),),
+     "TakeStep(binders=(Binder(name='x', domain=None),))"),
+    (P.WitnessItem, ("expr", "domain"), (_X, None),
+     "WitnessItem(expr=Ident(name='x'), domain=None)"),
+    (P.WitnessStep, ("items",), ((),), "WitnessStep(items=())"),
+    (P.AssertStep, ("goal_form", "proof"), ("g", "p"), "AssertStep(goal_form='g', proof='p')"),
+    (P.SufficesStep, ("goal_form", "proof"), ("g", "p"), "SufficesStep(goal_form='g', proof='p')"),
+    (P.PickStep, ("binders", "body", "proof"), ((), _X, "p"),
+     "PickStep(binders=(), body=Ident(name='x'), proof='p')"),
+    (P.CaseStep, ("expr", "proof"), (_X, "p"), "CaseStep(expr=Ident(name='x'), proof='p')"),
+    (P.QedStep, ("proof",), ("p",), "QedStep(proof='p')"),
+    (P.Step, ("token", "body"), ("t", "b"), "Step(token='t', body='b')"),
+    (P.Theorem, ("name", "goal_form", "proof"), ("T", "g", "p"),
+     "Theorem(name='T', goal_form='g', proof='p')"),
+    (P.Token, ("kind", "value", "pos"), ("IDENT", "x", _AT),
+     "Token(kind='IDENT', value='x', pos=Pos(line=3, col=4))"),
+    (M.Lambda, ("params", "body"), (("p", "q"), _X),
+     "Lambda(params=('p', 'q'), body=Ident(name='x'))"),
+    (M.Assumption, (), (), "Assumption()"),
+    (M.New, ("name",), ("x",), "New(name='x')"),
+    (M.Def, ("name", "definable", "hidden"), ("D", "d", True),
+     "Def(name='D', definable='d', hidden=True)"),
+    (M.Fact, ("obligation", "hidden"), ("o", False), "Fact(obligation='o', hidden=False)"),
+    (M.Obligation, ("context", "goal"), ((M.New("x"),), _X),
+     "Obligation(context=(New(name='x'),), goal=Ident(name='x'))"),
+    (E.StepError, ("path", "message", "obligation", "span"), (("<1>1",), "bad", "o", _AT),
+     "StepError(path=('<1>1',), message='bad', obligation='o', span=Pos(line=3, col=4))"),
+    (E.LeafObligationRecord, ("obligation", "path", "kind", "omitted", "span"),
+     ("o", (), "goal", True, None),
+     "LeafObligationRecord(obligation='o', path=(), kind='goal', omitted=True, span=None)"),
+    (E.Derivation,
+     ("rule", "input", "output", "path", "children", "leaves", "error", "span"),
+     ("by", "i", None, (), (), (), None, _AT),
+     "Derivation(rule='by', input='i', output=None, path=(), children=(), leaves=(), "
+     "error=None, span=Pos(line=3, col=4))"),
+    (E.StepOutcome, ("output", "node"), ("o", "n"), "StepOutcome(output='o', node='n')"),
+    (E.CheckedTheorem, ("theorem", "root", "derivation", "records", "errors", "warnings"),
+     ("t", "o", "d", (), (), ("w",)),
+     "CheckedTheorem(theorem='t', root='o', derivation='d', records=(), errors=(), "
+     "warnings=('w',))"),
+    (V.Budget, ("max_depth", "timeout_ms", "gamma_reuse"), (3, 10, 1),
+     "Budget(max_depth=3, timeout_ms=10, gamma_reuse=1)"),
+    (V.Sequent, ("constants", "hypotheses", "goal"), (("c",), (_X,), _Y),
+     "Sequent(constants=('c',), hypotheses=(Ident(name='x'),), goal=Ident(name='y'))"),
+    (V.Stats, ("iterations", "expansions", "closures"), (1, 2, 3),
+     "Stats(iterations=1, expansions=2, closures=3)"),
+    (V.Proved, ("trace",), ("t\n",), "Proved(trace='t\\n')"),
+    (V.Unknown, ("reason", "stats"), ("exhausted", V.Stats(1, 2, 3)),
+     "Unknown(reason='exhausted', stats=Stats(iterations=1, expansions=2, closures=3))"),
+    (V.Malformed, ("reason",), ("r",), "Malformed(reason='r')"),
+    (V.ReplayResult, ("ok", "error"), (False, "e"), "ReplayResult(ok=False, error='e')"),
+    (R.LeafEntry,
+     ("id", "path", "kind", "omitted", "obligation", "filtered", "embedding", "outcome", "millis"),
+     (0, "<1>1", "goal", False, "x", "x", "e", None, 1.5),
+     "LeafEntry(id=0, path='<1>1', kind='goal', omitted=False, obligation='x', filtered='x', "
+     "embedding='e', outcome=None, millis=1.5)"),
+    (R.ErrorEntry, ("path", "message"), ("<1>1", "bad"), "ErrorEntry(path='<1>1', message='bad')"),
+    (R.ObligationReport, ("theorem", "status", "leaves", "errors"), ("T", "PROVED", (), ()),
+     "ObligationReport(theorem='T', status='PROVED', leaves=(), errors=())"),
+]
+
+
+def _record_classes(cls=Node):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _record_classes(sub)
+
+
+def _reachable(value):
+    """Every node in value, depth first, through fields and tuples."""
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _reachable(item)
+    elif isinstance(value, Node):
+        yield value
+        for f in value._fields:
+            yield from _reachable(getattr(value, f))
+
+
+def _rebuilt(value, rng):
+    """A fresh copy of value built through the constructors, with a new
+    random position on every positioned node."""
+    if isinstance(value, tuple):
+        return tuple(_rebuilt(item, rng) for item in value)
+    if not isinstance(value, Node):
+        return value
+    args = [_rebuilt(getattr(value, f), rng) for f in value._fields]
+    if isinstance(value, Positioned):
+        return type(value)(*args, pos=S.Pos(rng.randrange(1, 99), rng.randrange(1, 99)))
+    return type(value)(*args)
+
+
+def _check_node_semantics(root, rng):
+    nodes = list(_reachable(root))
+    for n in nodes:
+        hash(n)
+        if isinstance(n, S.Expr):
+            pretty(n)
+    # equality ignores positions, and equal nodes hash equally
+    twin = _rebuilt(root, rng)
+    for a, b in zip(nodes, _reachable(twin), strict=True):
+        assert a == b and hash(a) == hash(b) and a is not b
+        if isinstance(a, Positioned):
+            assert b.pos is not None
+    for n in nodes:
+        values = [getattr(n, f) for f in n._fields]
+        # a node of another class with the same fields is unequal
+        for other in _record_classes():
+            if other is not type(n) and other._fields == n._fields and other._check is None:
+                assert other(*values) != n and n != other(*values)
+        # immutable: no field, cache or position can be set or deleted
+        for name in (*n._fields, "_hash", "_pretty", "pos"):
+            with pytest.raises(AttributeError):
+                setattr(n, name, None)
+            with pytest.raises(AttributeError):
+                delattr(n, name)
+    # copies are equal, keep positions and carry no cached hash or rendering
+    for copied in (copy.deepcopy(root), pickle.loads(pickle.dumps(root))):
+        for a, b in zip(nodes, _reachable(copied), strict=True):
+            assert type(b) is type(a) and b == a
+            assert getattr(b, "pos", None) == getattr(a, "pos", None)
+            assert not hasattr(b, "_hash") and not hasattr(b, "_pretty")
+
+
+class TestNode:
+    @pytest.mark.parametrize(
+        "cls, fields, args, text", RECORDS, ids=[r[0].__name__ for r in RECORDS]
+    )
+    def test_record(self, cls, fields, args, text):
+        node = cls(*args)
+        assert repr(node) == text
+        assert cls.__match_args__ == cls._fields == fields
+        assert cls(**dict(zip(fields, args))) == node
+        assert hash(cls(*args)) == hash(node) == hash(tuple(args))
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(node, name, None)
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+        for twin in (copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
+            assert type(twin) is cls and twin == node and repr(twin) == text
+
+    def test_every_record_class_is_listed(self):
+        assert set(_record_classes()) - {Positioned} == {r[0] for r in RECORDS}
+
+    def test_classes_with_equal_fields_are_unequal(self):
+        a, b = S.Ident("a"), S.Ident("b")
+        assert S.And(a, b) != S.Or(a, b) and S.In(a, b) != S.NotIn(a, b)
+        assert S.Ident("x") != M.New("x") and P.AssertStep("g", "p") != P.SufficesStep("g", "p")
+
+    def test_defaults_keywords_and_validation(self):
+        assert S.Binder("x") == S.Binder("x", None) == S.Binder(name="x", domain=None)
+        assert V.Budget() == V.Budget(12, 5000, 4) and V.Budget(timeout_ms=1).timeout_ms == 1
+        assert V.Unknown("exhausted").stats == V.Stats(0, 0, 0)
+        assert E.Derivation("r", "i", None, (), span=_AT).children == ()
+        assert S.Ident("x", pos=_AT).pos == _AT and S.Ident("x").pos is None
+        with pytest.raises(ValueError, match="at least one binder"):
+            S.Quant("forall", (), _X)
+        with pytest.raises(M.DuplicateBinder):
+            M.Lambda(("p", "p"), _X)
+        with pytest.raises(ValueError, match="must be positive"):
+            V.Budget(max_depth=0)
+        for call in (
+            lambda: S.And(_X),
+            lambda: S.And(_X, _Y, _X),
+            lambda: S.And(_X, _Y, left=_X),
+            lambda: S.And(_X, _Y, colour=1),
+            lambda: M.New("x", pos=_AT),
+            lambda: E.Derivation("r"),
+        ):
+            with pytest.raises(TypeError):
+                call()
+
+    @settings(max_examples=60, derandomize=True, database=None)
+    @given(st.integers(0, 10**9))
+    def test_generated_terms_and_records(self, seed):
+        rng = random.Random(seed)
+        sequent = rand_prop_sequent(rng)
+        outcome = V.prove(sequent, V.Budget(max_depth=6, timeout_ms=5000, gamma_reuse=2))
+        for root in (
+            rand_expr(rng, ["a", "b", "S", "f"], 4),
+            rand_obligation(rng),
+            rand_wellformed_proof(rng),
+            sequent,
+            outcome,
+        ):
+            _check_node_semantics(root, rng)
+
+    def test_parsed_and_checked_theorem(self):
+        theorem = P.parse_theorem(cantor_text())
+        _check_node_semantics(theorem, random.Random(1))
+        _check_node_semantics(E.check_theorem(theorem), random.Random(2))
+
+
+def test_cli_imports_neither_dataclasses_nor_inspect():
+    # checked in a child process: pytest itself imports both
+    child = (
+        "import sys, proofmgr.cli\n"
+        "loaded = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    src = str(Path(proofmgr.__file__).resolve().parents[1])
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
