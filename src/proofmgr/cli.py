@@ -8,13 +8,14 @@ error or an ill-formed theorem, 4 internal error.  With several files the
 worst exit code wins.
 
 Leaves are proved one after another in derivation order, so output is
-byte-identical for a fixed configuration.  Each distinct obligation is
-proved once per run: ``prove`` memoises the search, each run starts with an
-empty memo, and a leaf equal to one already searched in the run gets the
-stored outcome, proved or exhausted.  A leaf is reported ``proved`` only
-when its trace replays (``replay_trace``) against the leaf's own sequent,
-reused outcomes included; a trace that does not replay makes the leaf
-``unknown`` and is named on standard error with the replay's first failure.
+byte-identical for a fixed configuration.  Each obligation is proved once
+per run up to a renaming of its names: ``prove`` memoises the search, each
+run starts with an empty memo, and a leaf that is one already searched in
+the run, its names renamed, gets the stored outcome, proved or exhausted,
+with the names mapped over.  A leaf is reported ``proved`` only when its
+trace replays (``replay_trace``) against the leaf's own sequent, reused
+outcomes included; a trace that does not replay makes the leaf ``unknown``
+and is named on standard error with the replay's first failure.
 
 With several files, ``--emit-traces DIR`` writes each file's traces to its
 own subdirectory ``DIR/<position>-<stem>`` (position from 0 in the argument
@@ -39,7 +40,7 @@ from .prover import (
     Malformed,
     Proved,
     Unknown,
-    _search,
+    _memo,
     prove,
     replay_trace,
     sequent_from_obligation,
@@ -192,7 +193,7 @@ def check_file(path: str, config: RunConfig, sink) -> tuple[int, Optional[str]]:
 def run(config: RunConfig) -> int:
     # the search memo lives as long as the process; a run starts it empty,
     # so that each run searches its own obligations
-    _search.cache_clear()
+    _memo.clear()
     chunks: list[str] = []
     embedded: list[str] = []
     code = 0

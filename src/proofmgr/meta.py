@@ -135,6 +135,13 @@ class Obligation(Node):
         return render_obligation(self)
 
     @cached_property
+    def expression(self) -> Expr:
+        """``obligation_to_expression``, computed once: sibling leaves share
+        their facts, and each leaf's sequent reads them, so the caches keyed
+        by a hypothesis (``normalize``) find the very same term."""
+        return obligation_to_expression(self)
+
+    @cached_property
     def bound_twice(self) -> Optional[str]:
         """The first identifier that ``check_well_formed`` finds bound twice
         within one context, at any nesting depth, or None.  This is all of
@@ -541,7 +548,7 @@ def obligation_to_expression(o: Obligation) -> Expr:
             case New(name):
                 out = Quant("forall", (Binder(name, None),), out)
             case Fact(obl, _):
-                out = Implies(obligation_to_expression(obl), out)
+                out = Implies(obl.expression, out)
     return out
 
 

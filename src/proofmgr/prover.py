@@ -43,20 +43,29 @@ and in its pool, since only congruence makes different heads equal.  A trace
 line keeps the formulas it introduces as resolved when its rule fired, and
 its text is rendered once, for a search that succeeds.
 
-``prove`` memoises the search per process on its exact input, the
-normalised initial entries and the budget, so each distinct obligation is
-searched once and an equal one gets the stored outcome.  A timeout is never
-stored.  The CLI empties the memo at the start of each run.
+``prove`` memoises the search per process on the obligation's class up to
+a renaming of its names: the shape of each initial entry (each free name
+replaced by its index in order of first occurrence, bound names kept), how
+the entries' names link, and the budget.  The first obligation of a class
+is searched under its own names; a later one gets the stored outcome with
+the names mapped over, and a mapped trace is replayed against its own
+sequent before it is given.  The search makes the same choices under a
+renaming, except the names it gives bound variables (``z`` or a bound
+name, with any digits after it), which avoid the names that occur; so an
+obligation whose renaming moves such a name is searched itself, as is one
+whose mapped trace does not replay.  A timeout is never stored.  The CLI
+empties the memo at the start of each run.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 import time
 from typing import Optional, Union
 
 from . import syntax as s
-from .meta import Def, Fact, New, Obligation, obligation_to_expression
+from .meta import Def, Fact, New, Obligation
 from .syntax import Binder, Expr, Ident, Neg, OpApp, Quant, free_identifiers, map_children, pretty
 
 
@@ -106,7 +115,7 @@ def sequent_from_obligation(o: Obligation) -> Sequent:
             case Fact(obl, hidden):
                 if hidden:
                     raise ValueError("sequent built from unfiltered obligation")
-                hyps.append(obligation_to_expression(obl))
+                hyps.append(obl.expression)
             case Def():
                 raise ValueError("sequent built from unexpanded obligation")
     return Sequent(tuple(constants), tuple(hyps), o.goal)
@@ -145,6 +154,14 @@ def normalize(e: Expr) -> Expr:
         case _:
             out = map_children(e, normalize)
     return e if out == e else out
+
+
+def _is_falsum(e: Expr) -> bool:
+    """e is FALSE or ~TRUE: a branch holding it closes."""
+    if type(e) is Neg:
+        e = e.item
+        return type(e) is s.Bool and e.value
+    return type(e) is s.Bool and not e.value
 
 
 def _is_meta(e: Expr) -> bool:
@@ -791,7 +808,7 @@ class _Search(_Tableau):
         # single-formula closures (commit: no bindings involved)
         for i in news:
             e = self._resolved(i)
-            if e == s.FALSE or e == Neg(s.TRUE):
+            if _is_falsum(e):
                 self._emit(f"close-false\t{i}")
                 self.closures += 1
                 return self._continue(rest)
@@ -981,32 +998,15 @@ class _Search(_Tableau):
         return False
 
 
-def prove(sequent: Sequent, budget: Budget = Budget()) -> ProverOutcome:
-    """Attempt to close a tableau for the sequent within the budget.
-
-    The search is memoised on its exact input, the pair (``_initial`` of the
-    sequent, budget), so an obligation equal to one already searched in this
-    process gets the stored outcome.  A timeout is never stored: the next
-    equal obligation is searched again."""
-    bad = _reserved_names(sequent)
-    if bad:
-        return Malformed(f"reserved names in sequent: {bad}")
-    try:
-        return _search(_initial(sequent), budget)
-    except _Timeout as timeout:
-        return Unknown("timeout", timeout.args[0])
-
-
 def _render(line: tuple[str, tuple]) -> str:
     """The text of a trace line kept by ``_Search._emit``."""
     head, intro = line
     return "".join([head, *(f"\t{n}:{pretty(e)}" for n, e in intro), "\n"])
 
 
-@functools.lru_cache(maxsize=1024)
 def _search(initial: tuple[Expr, ...], budget: Budget) -> ProverOutcome:
     """The outcome of the search from the initial entries; raises _Timeout
-    with the Stats so far, so that lru_cache stores no timeout."""
+    with the Stats so far."""
     deadline = time.monotonic() + budget.timeout_ms / 1000.0
     search = _Search(initial, budget, deadline)
     iterations = 0
@@ -1026,6 +1026,193 @@ def _search(initial: tuple[Expr, ...], budget: Budget) -> ProverOutcome:
 
 
 # ---------------------------------------------------------------------------
+# The search memo: one search per obligation up to a renaming of its names
+
+
+@functools.lru_cache(maxsize=4096)
+def _fingerprint(e: Expr) -> tuple[tuple, tuple[str, ...], tuple[str, ...]]:
+    """(shape, names, bound) of an initial entry.  The shape lists e's nodes
+    in preorder: an identifier as its name, any other node as its type, its
+    fields other than subterms and, where it varies, its number of
+    subterms.  Each free name in it is replaced by its index in names, which
+    lists the free names in order of first occurrence; bound names stay as
+    they are, and bound lists them.  Two entries have the same shape iff
+    one is the other with its free names renamed bijectively."""
+    shape: list = []
+    names: dict[str, int] = {}
+    bound_names: set[str] = set()
+
+    def name(n: str, bound: frozenset[str]):
+        return n if n in bound else names.setdefault(n, len(names))
+
+    def walk(e: Expr, bound: frozenset[str]) -> None:
+        match e:
+            case Ident(n):
+                shape.append(name(n, bound))
+            case OpApp(n, args):
+                shape.extend((OpApp, name(n, bound), len(args)))
+                for a in args:
+                    walk(a, bound)
+            case Quant(kind, binders, body):
+                shape.extend((Quant, kind, len(binders)))
+                for b in binders:
+                    shape.append(b.name)
+                    if b.domain is None:
+                        shape.append(None)
+                    else:
+                        walk(b.domain, bound)
+                inner = bound.union(b.name for b in binders)
+                bound_names.update(inner)
+                walk(body, inner)
+            case s.SetComp(var, domain, pred):
+                shape.extend((s.SetComp, var))
+                bound_names.add(var)
+                walk(domain, bound)
+                walk(pred, bound | {var})
+            case s.SetImage(expr, var, domain):
+                shape.extend((s.SetImage, var))
+                bound_names.add(var)
+                walk(expr, bound | {var})
+                walk(domain, bound)
+            case s.Bool():
+                shape.append(e)
+            case _:
+                shape.append(type(e))
+                for f in e._fields:
+                    walk(getattr(e, f), bound)
+
+    walk(e, frozenset())
+    return tuple(shape), tuple(names), tuple(bound_names)
+
+
+def _class_of(initial: tuple[Expr, ...], budget: Budget) -> tuple[tuple, tuple[str, ...]]:
+    """(key, names) of a search: the key is its class up to a renaming of
+    the names, that is each entry's shape, how the entries' names link
+    (each entry's names by their index in names, one entry after another:
+    an entry's shape fixes how many it has), and the budget; names lists
+    the names of all the entries in order of first occurrence."""
+    index: dict[str, int] = {}
+    shapes, links = [], []
+    for e in initial:
+        shape, names, _ = _fingerprint(e)
+        shapes.append(shape)
+        links.extend([index.setdefault(n, len(index)) for n in names])
+    return (tuple(shapes), tuple(links), budget), tuple(index)
+
+
+def _may_bind(name: str, bases: set[str]) -> bool:
+    """A rule may give a bound variable this name: it is a base (a bound
+    name of the entries, or ``z``) with digits or nothing after it."""
+    return any(
+        name.startswith(b) and (len(name) == len(b) or name[len(b):].isdigit()) for b in bases
+    )
+
+
+def _renaming(
+    searched: tuple[str, ...], names: tuple[str, ...], initial: tuple[Expr, ...]
+) -> Optional[dict[str, str]]:
+    """The names searched mapped to the names of the same class, or None
+    when a rule may give a bound variable a renamed name: the bound names
+    the rules choose avoid the names that occur, so only when none is
+    renamed is the search under names the first one with the names mapped
+    over."""
+    bases = {"z"}.union(*(_fingerprint(e)[2] for e in initial))
+    mapping = {}
+    for a, b in zip(searched, names):
+        if a != b:
+            if _may_bind(a, bases) or _may_bind(b, bases):
+                return None
+            mapping[a] = b
+    return mapping
+
+
+# The rule field of each trace line, or a name elsewhere (not a keyword
+# spelled with a backslash, a metavariable or a skolem name); compiled at
+# the first use, by ``re``'s own cache, not at start-up
+_RULE_OR_NAME = r"(?m)^([^\t\n]*)|(?<![\w?!\\])[A-Za-z_]\w*"
+
+
+def _rename_trace(trace: str, mapping: dict[str, str]) -> str:
+    """The trace with each name mapped."""
+    return re.sub(
+        _RULE_OR_NAME, lambda m: m[1] if m[1] is not None else mapping.get(m[0], m[0]), trace
+    )
+
+
+class _Memo:
+    """The outcomes of the searches made, keyed by their class up to a
+    renaming of the names (``_class_of``), each stored with the names it
+    was searched under.  ``hits`` counts the outcomes given from it,
+    ``misses`` the searches made; it keeps the latest ``size`` outcomes."""
+
+    size = 1024
+
+    def __init__(self) -> None:
+        self.clear()
+
+    def clear(self) -> None:
+        self.stored: dict[tuple, tuple[tuple[str, ...], ProverOutcome]] = {}
+        self.hits = 0
+        self.misses = 0
+
+    def store(self, key: tuple, names: tuple[str, ...], outcome: ProverOutcome) -> None:
+        if len(self.stored) >= self.size:
+            del self.stored[next(iter(self.stored))]
+        self.stored[key] = (names, outcome)
+
+
+_memo = _Memo()
+
+
+def _reuse(stored, names: tuple[str, ...], initial: tuple[Expr, ...]) -> Optional[ProverOutcome]:
+    """The stored outcome of a search of the same class, for the search
+    from initial under its names: as stored when the names are the same;
+    else with the names mapped over, a trace only when it replays against
+    initial; None when the names cannot be mapped or the trace does not
+    replay."""
+    searched, outcome = stored
+    if searched == names:
+        return outcome
+    mapping = _renaming(searched, names, initial)
+    if mapping is None:
+        return None
+    if not isinstance(outcome, Proved):
+        return outcome
+    trace = _rename_trace(outcome.trace, mapping)
+    return Proved(trace) if _replay(initial, trace).ok else None
+
+
+def prove(sequent: Sequent, budget: Budget = Budget()) -> ProverOutcome:
+    """Attempt to close a tableau for the sequent within the budget.
+
+    The search is memoised (``_memo``) on its class up to a renaming of its
+    names, so an obligation that is one already searched in this process,
+    its names renamed, gets the stored outcome with the names mapped over.
+    A renamed proof is replayed against this sequent before it is given,
+    and the obligation is searched when the replay fails.  A timeout is
+    never stored: the next obligation of its class is searched again."""
+    bad = _reserved_names(sequent)
+    if bad:
+        return Malformed(f"reserved names in sequent: {bad}")
+    initial = _initial(sequent)
+    key, names = _class_of(initial, budget)
+    stored = _memo.stored.get(key)
+    if stored is not None:
+        outcome = _reuse(stored, names, initial)
+        if outcome is not None:
+            _memo.hits += 1
+            return outcome
+    _memo.misses += 1
+    try:
+        outcome = _search(initial, budget)
+    except _Timeout as timeout:
+        return Unknown("timeout", timeout.args[0])
+    if stored is None:
+        _memo.store(key, names, outcome)
+    return outcome
+
+
+# ---------------------------------------------------------------------------
 # Trace replay
 
 
@@ -1039,7 +1226,12 @@ def replay_trace(sequent: Sequent, trace: str) -> ReplayResult:
     bad = _reserved_names(sequent)
     if bad:
         return ReplayResult(False, f"reserved names in sequent: {bad}")
-    t = _Tableau(_initial(sequent))
+    return _replay(_initial(sequent), trace)
+
+
+def _replay(initial: tuple[Expr, ...], trace: str) -> ReplayResult:
+    """``replay_trace`` from the initial entries of a sequent."""
+    t = _Tableau(initial)
     stack: list[list[int]] = [list(range(len(t.entries)))]
     skolems: set[str] = set()
 
@@ -1062,7 +1254,7 @@ def replay_trace(sequent: Sequent, trace: str) -> ReplayResult:
         e = t._resolved(principal)
 
         if rule == "close-false":
-            if e not in (s.FALSE, Neg(s.TRUE)):
+            if not _is_falsum(e):
                 return fail(no, "close-false on a non-falsum formula")
             stack.pop()
             continue

@@ -9,4 +9,5 @@ from proofmgr import prover
 @pytest.fixture(autouse=True)
 def empty_prover_memos():
     prover.normalize.cache_clear()
-    prover._search.cache_clear()
+    prover._fingerprint.cache_clear()
+    prover._memo.clear()

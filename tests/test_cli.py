@@ -9,12 +9,34 @@ import pytest
 from helpers import cantor_text
 from proofmgr import cli, prover
 from proofmgr.cli import main
-from proofmgr.prover import Proved, prove
+from proofmgr.engine import check_theorem
+from proofmgr.parser import parse_theorem
+from proofmgr.prover import (
+    Budget,
+    Proved,
+    _class_of,
+    _initial,
+    _search,
+    prove,
+    sequent_from_obligation,
+)
+from proofmgr.report import prepared_obligation
 from test_report_manifest import MANIFEST, report_bytes
 
 DATA = Path(__file__).parent / "data"
 CANTOR = str(DATA / "cantor.tla")
 PICK = str(DATA / "corpus" / "pick.tla")
+# Three leaves that are one obligation up to a renaming of S and A; the
+# second names one of them z
+RENAMED_TO_Z = r"""THEOREM Renamed == TRUE
+<1>1. ASSUME NEW S, NEW A, \A x : x \in S => x \in A PROVE S \subseteq A
+      OBVIOUS
+<1>2. ASSUME NEW z, NEW B, \A x : x \in z => x \in B PROVE z \subseteq B
+      OBVIOUS
+<1>3. ASSUME NEW C, NEW D, \A x : x \in C => x \in D PROVE C \subseteq D
+      OBVIOUS
+<1>4. QED OBVIOUS
+"""
 
 
 def run(capsys, *argv):
@@ -238,7 +260,7 @@ class TestDeterminism:
         for _ in range(3):
             # every run searches afresh, not from an earlier run's memo
             prover.normalize.cache_clear()
-            prover._search.cache_clear()
+            prover._memo.clear()
             code, out, _ = run(capsys, "check", CANTOR, "--prove", "--format", "json")
             assert code == 0
             outs.append(out)
@@ -272,17 +294,17 @@ class TestProveOncePerRun:
         code, out, _ = run(capsys, "check", "--prove", "--format", "json", *files)
         assert code == 0
         proved = out.count('"outcome": "proved"')
-        info = prover._search.cache_info()
-        assert info.hits > 0
-        assert len(replays) == proved == info.hits + info.misses == 61
+        memo = prover._memo
+        assert memo.hits > 0
+        assert len(replays) == proved == memo.hits + memo.misses == 61
 
     def test_each_run_starts_with_an_empty_memo(self, capsys):
         infos = []
         for _ in range(2):
             run(capsys, "check", CANTOR, "--prove")
-            infos.append(prover._search.cache_info())
+            infos.append((prover._memo.hits, prover._memo.misses, len(prover._memo.stored)))
         # an earlier run's entries would turn the second run's misses into hits
-        assert infos[0] == infos[1] and infos[0].misses > 0
+        assert infos[0] == infos[1] and infos[0][1] > 0
 
     def test_reversed_file_order_gives_the_same_reports(self):
         want = dict(
@@ -292,4 +314,24 @@ class TestProveOncePerRun:
         for path in paths:
             digest = hashlib.sha256(report_bytes(path)).hexdigest()
             assert digest == want[path.relative_to(DATA).as_posix()], path
-        assert prover._search.cache_info().hits > 0
+        assert prover._memo.hits > 0
+
+    def test_a_renamed_leaf_gets_the_traces_of_an_exact_search(self, capsys, tmp_path):
+        path = tmp_path / "renamed.tla"
+        path.write_text(RENAMED_TO_Z)
+        tdir = tmp_path / "traces"
+        code, _, _ = run(capsys, "check", str(path), "--prove", "--emit-traces", str(tdir))
+        assert code == 0
+        # the third leaf gets the first one's trace, the second is searched
+        assert (prover._memo.hits, prover._memo.misses) == (1, 3)
+        records = check_theorem(parse_theorem(RENAMED_TO_Z)).records
+        keys = []
+        for idx, record in enumerate(records):
+            sequent = sequent_from_obligation(prepared_obligation(record))
+            exact = _search(_initial(sequent), Budget())
+            assert (tdir / f"leaf-{idx}.trace").read_text() == exact.trace
+            keys.append(_class_of(_initial(sequent), Budget())[0])
+        assert keys[0] == keys[1] == keys[2] != keys[3]
+        # the subseteq rule's bound variable avoids the constant z
+        second = (tdir / "leaf-1.trace").read_text()
+        assert second.startswith("subseteq-neg\t1\t2:~(\\A z1 : z1 \\in z => z1 \\in B)\n")

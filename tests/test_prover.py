@@ -2,6 +2,7 @@
 rules, trace replay, budgets."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,7 @@ from proofmgr.prover import (
     _Search,
     _Subst,
     _Tableau,
+    _class_of,
     _complements,
     _ground,
     _initial,
@@ -43,6 +45,7 @@ from proofmgr.syntax import (
     Quant,
     free_identifiers,
     map_children,
+    subst_many,
 )
 
 
@@ -644,7 +647,7 @@ class TestBudgets:
             a = prove(seq, BIG)
             # the second call must search again, not read the memo
             prover.normalize.cache_clear()
-            prover._search.cache_clear()
+            prover._memo.clear()
             b = prove(seq, BIG)
             assert type(a) is type(b)
             if isinstance(a, Proved):
@@ -676,25 +679,130 @@ class TestMemo:
         budget = Budget()
         for name, leaf, _, seq in corpus_sequents():
             got = prove(seq, budget)
-            want = _search.__wrapped__(_initial(seq), budget)
+            want = _search(_initial(seq), budget)
             assert got == want, (name, leaf)
             assert isinstance(got, Proved) and got.trace == want.trace
         # 61 leaves make 33 distinct initial tableaux
-        info = _search.cache_info()
-        assert (info.hits, info.misses) == (28, 33)
+        assert (prover._memo.hits, prover._memo.misses) == (28, 33)
 
     def test_timeout_is_never_stored(self):
         seq = cantor_qed()
         tight = Budget(timeout_ms=1)
         for _ in range(2):
-            before = _search.cache_info()
+            misses = prover._memo.misses
             out = prove(seq, tight)
             assert isinstance(out, Unknown) and out.reason == "timeout"
-            after = _search.cache_info()
-            assert after.currsize == before.currsize
-            assert after.misses == before.misses + 1  # searched again
+            assert len(prover._memo.stored) == 0
+            assert prover._memo.misses == misses + 1  # searched again
         assert isinstance(prove(seq, Budget()), Proved)
-        assert _search.cache_info().currsize == 1
+        assert len(prover._memo.stored) == 1
+
+
+# Images for the names of a sequent that no rule gives a bound variable
+# and no generated sequent binds
+CLEAN_NAMES = [f"K{i}" for i in range(8)]
+# Images that a rule may give a bound variable (z, z1) or that a generated
+# sequent binds (x, y)
+COLLIDING_NAMES = ["z", "z1", "x", "y", "K0"]
+SMALL = Budget(max_depth=6, timeout_ms=60000, gamma_reuse=2)
+
+
+def rename_sequent(seq: Sequent, mapping: dict[str, str]) -> Sequent:
+    m = {a: Ident(b) for a, b in mapping.items()}
+    return Sequent(
+        tuple(mapping.get(c, c) for c in seq.constants),
+        tuple(subst_many(h, m) for h in seq.hypotheses),
+        subst_many(seq.goal, m),
+    )
+
+
+def rename_outcome(out, mapping: dict[str, str]):
+    """A proof's trace with the names mapped in every field but the rule."""
+    if not isinstance(out, Proved):
+        return out
+    lines = []
+    for line in out.trace.splitlines(keepends=True):
+        rule, tab, rest = line.partition("\t")
+        rest = re.sub(r"(?<![\w?!\\])[A-Za-z_]\w*", lambda m: mapping.get(m[0], m[0]), rest)
+        lines.append(rule + tab + rest)
+    return Proved("".join(lines))
+
+
+@st.composite
+def renamings(draw, images):
+    """A propositional or a set-theory sequent, and a bijective renaming of
+    its names onto its names and images."""
+    if draw(st.booleans()):
+        seq = rand_prop_sequent(random.Random(draw(st.integers(0, 10**9))))
+    else:
+        seq = draw(chain_sequents())
+    names = sorted(set(seq.constants).union(*map(free_identifiers, (*seq.hypotheses, seq.goal))))
+    targets = draw(st.permutations(names + images))[: len(names)]
+    return seq, dict(zip(names, targets))
+
+
+class TestRenaming:
+    # small depth and a timeout no run comes near: outcomes depend only on
+    # the sequent, and the examples are the same on every run
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(renamings(CLEAN_NAMES))
+    def test_prove_commutes_with_renaming(self, case):
+        seq, mapping = case
+        renamed = rename_sequent(seq, mapping)
+        prover._memo.clear()
+        first = prove(seq, SMALL)
+        prover._memo.clear()
+        searched = prove(renamed, SMALL)
+        assert searched == rename_outcome(first, mapping)
+        # with the memo holding seq's outcome, renamed gets it, names mapped
+        prover._memo.clear()
+        prove(seq, SMALL)
+        assert prove(renamed, SMALL) == searched
+        assert (prover._memo.hits, prover._memo.misses) == (1, 1)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(renamings(COLLIDING_NAMES))
+    def test_outcome_does_not_depend_on_the_memo(self, case):
+        seq, mapping = case
+        renamed = rename_sequent(seq, mapping)
+        prover._memo.clear()
+        alone = prove(renamed, SMALL)
+        prover._memo.clear()
+        prove(seq, SMALL)
+        assert prove(renamed, SMALL) == alone
+        if isinstance(alone, Proved):
+            assert check_trace(renamed, alone.trace)
+
+    def test_renamed_obligations_share_a_class(self):
+        a = Sequent(("S", "T"), (pe(r"\A x \in S : x \in T"),), pe(r"S \subseteq T"))
+        b = Sequent(("A", "S"), (pe(r"\A x \in A : x \in S"),), pe(r"A \subseteq S"))
+        (key_a, names_a), (key_b, names_b) = (
+            _class_of(_initial(seq), SMALL) for seq in (a, b)
+        )
+        assert key_a == key_b and (names_a, names_b) == (("S", "T"), ("A", "S"))
+        # bound names are part of the class
+        c = Sequent(("S", "T"), (pe(r"\A y \in S : y \in T"),), pe(r"S \subseteq T"))
+        assert _class_of(_initial(c), SMALL)[0] != key_a
+
+    def test_a_constant_named_like_a_rule_variable_is_searched(self, monkeypatch):
+        a = Sequent(("S", "T"), (pe(r"\A x \in S : x \in T"),), pe(r"S \subseteq T"))
+        z = rename_sequent(a, {"S": "z"})
+        first = proved(a)
+        # the subseteq rule's bound variable z avoids the constant z, so the
+        # renamed trace is not even tried
+        monkeypatch.setattr(prover, "_replay", None)
+        second = proved(z)
+        assert (prover._memo.hits, prover._memo.misses) == (0, 2)
+        assert r"2:~(\A z1 : z1 \in z => z1 \in T)" in second.trace
+        assert second.trace != rename_outcome(first, {"S": "z"}).trace
+
+    def test_a_renamed_trace_that_does_not_replay_is_searched(self):
+        a = Sequent(("P", "Q"), (pe("P"), pe("P => Q")), pe("Q"))
+        b = rename_sequent(a, {"P": "R"})
+        key, names = _class_of(_initial(a), BIG)
+        prover._memo.store(key, names, Proved("close-false\t0\n"))
+        assert prove(b, BIG) == _search(_initial(b), BIG)
+        assert (prover._memo.hits, prover._memo.misses) == (0, 1)
 
 
 class TestMalformed:
