@@ -10,12 +10,14 @@ worst exit code wins.
 Leaves are proved one after another in derivation order, so output is
 byte-identical for a fixed configuration.  Each obligation is proved once
 per run up to a renaming of its names: ``prove`` memoises the search, each
-run starts with an empty memo, and a leaf that is one already searched in
-the run, its names renamed, gets the stored outcome, proved or exhausted,
-with the names mapped over.  A leaf is reported ``proved`` only when its
-trace replays (``replay_trace``) against the leaf's own sequent, reused
-outcomes included; a trace that does not replay makes the leaf ``unknown``
-and is named on standard error with the replay's first failure.
+run starts with the prover's stores empty (``reset``), and a leaf that is
+one already searched in the run, its names renamed, gets the stored
+outcome, proved or exhausted, with the names mapped over.  A leaf is
+reported ``proved`` only when its trace replays (``replay_trace``) against
+the leaf's own sequent, reused outcomes included; a trace that does not
+replay makes the leaf ``unknown`` and is named on standard error with the
+replay's first failure.  A replay already made in the run, by ``prove`` or
+for an earlier leaf, is looked up.
 
 With several files, ``--emit-traces DIR`` writes each file's traces to its
 own subdirectory ``DIR/<position>-<stem>`` (position from 0 in the argument
@@ -40,9 +42,9 @@ from .prover import (
     Malformed,
     Proved,
     Unknown,
-    _memo,
     prove,
     replay_trace,
+    reset,
     sequent_from_obligation,
 )
 from .report import build_report, prepared_obligation, write_embeddings, write_report
@@ -191,9 +193,9 @@ def check_file(path: str, config: RunConfig, sink) -> tuple[int, Optional[str]]:
 
 
 def run(config: RunConfig) -> int:
-    # the search memo lives as long as the process; a run starts it empty,
-    # so that each run searches its own obligations
-    _memo.clear()
+    # the prover's stores live as long as the process; a run starts them
+    # empty, so that each run searches and replays its own obligations
+    reset()
     chunks: list[str] = []
     embedded: list[str] = []
     code = 0

@@ -53,8 +53,13 @@ sequent before it is given.  The search makes the same choices under a
 renaming, except the names it gives bound variables (``z`` or a bound
 name, with any digits after it), which avoid the names that occur; so an
 obligation whose renaming moves such a name is searched itself, as is one
-whose mapped trace does not replay.  A timeout is never stored.  The CLI
-empties the memo at the start of each run.
+whose mapped trace does not replay.  A timeout is never stored.
+
+Replay is memoised on the exact (initial entries, trace), failures
+included, so a run replays each pair once, whether ``prove`` asks for it
+or the CLI.  A formula's closure keys, groundness and expansion are
+memoised too, for every tableau it occurs in.  The CLI empties every such
+store at the start of each run (``reset``).
 """
 
 from __future__ import annotations
@@ -168,6 +173,7 @@ def _is_meta(e: Expr) -> bool:
     return isinstance(e, Ident) and e.name.startswith("?")
 
 
+@functools.lru_cache(maxsize=4096)
 def _ground(e: Expr) -> bool:
     """No metavariable occurs in e (e already resolved)."""
     return not any(n.startswith("?") for n in free_identifiers(e))
@@ -417,9 +423,11 @@ def _fresh_bound(base: str, *exprs: Expr) -> str:
     return s.fresh_name(base, avoid)
 
 
+@functools.lru_cache(maxsize=4096)
 def _expansion(e: Expr) -> Optional[tuple[str, str, object]]:
     """Classify a formula: (rule, kind, payload) where kind is one of
-    alpha / beta / gamma / delta, or None for literals."""
+    alpha / beta / gamma / delta, or None for literals.  The payload is
+    shared by every tableau the formula occurs in: it is never changed."""
     match e:
         case s.And(a, b):
             return ("alpha", "alpha", [a, b])
@@ -566,6 +574,7 @@ def _head(e: Expr):
     return type(e)
 
 
+@functools.lru_cache(maxsize=4096)
 def _keys(e: Expr) -> tuple:
     """(head of e, head of the atom under e's negation or None).  A
     substitution replaces only metavariables, so neither changes unless it
@@ -917,39 +926,40 @@ class _Search(_Tableau):
     def _try_expansions(self, cur: _Branch, rest: list[_Branch]) -> bool:
         # invertible non-branching rules first, then delta, rewrite, beta;
         # gamma instantiations and the heuristic theory rules are tried as
-        # backtrackable alternatives at the end
-        for want in ("alpha", "delta"):
-            for i in cur.items:
-                exp = self._expansion_of(i)
-                if exp is None or exp[1] != want or exp[0] in _THEORY_RULES:
-                    continue
-                if (i, exp[0]) in cur.expanded:
-                    continue
+        # backtrackable alternatives at the end; one walk of the branch finds
+        # the first alpha, or else the first delta and beta and every
+        # alternative
+        delta = beta = None
+        alternatives: list[tuple[int, int, tuple]] = []
+        for i in cur.items:
+            exp = self._expansion_of(i)
+            if exp is None:
+                continue
+            rule, kind, _ = exp
+            if kind == "gamma":
+                uses = cur.gamma_uses.get(i, 0)
+                if uses < self.budget.gamma_reuse:
+                    alternatives.append((uses, i, exp))
+            elif (i, rule) in cur.expanded:
+                continue
+            elif rule in _THEORY_RULES:
+                alternatives.append((self.budget.gamma_reuse, i, exp))
+            elif kind == "alpha":
                 return self._apply(cur, rest, i, exp)
+            elif kind == "delta":
+                delta = delta or (i, exp)
+            else:
+                beta = beta or (i, exp)
+        if delta is not None:
+            return self._apply(cur, rest, *delta)
         rewrite = self._find_rewrite(
             cur.items, (i for i in cur.items if (i, "rewrite") not in cur.expanded)
         )
         if rewrite is not None:
             i, formula = rewrite
             return self._apply_parts(cur, rest, i, "rewrite", [formula])
-        for i in cur.items:
-            exp = self._expansion_of(i)
-            if exp is None or exp[1] != "beta":
-                continue
-            if (i, exp[0]) in cur.expanded:
-                continue
-            return self._apply(cur, rest, i, exp)
-        alternatives: list[tuple[int, int, tuple]] = []
-        for i in cur.items:
-            exp = self._expansion_of(i)
-            if exp is None:
-                continue
-            if exp[1] == "gamma":
-                uses = cur.gamma_uses.get(i, 0)
-                if uses < self.budget.gamma_reuse:
-                    alternatives.append((uses, i, exp))
-            elif exp[0] in _THEORY_RULES and (i, exp[0]) not in cur.expanded:
-                alternatives.append((self.budget.gamma_reuse, i, exp))
+        if beta is not None:
+            return self._apply(cur, rest, *beta)
         alternatives.sort(key=lambda g: (g[0], g[1]))
         for _, i, exp in alternatives:
             if self._apply(cur, rest, i, exp):
@@ -1142,8 +1152,10 @@ def _rename_trace(trace: str, mapping: dict[str, str]) -> str:
 class _Memo:
     """The outcomes of the searches made, keyed by their class up to a
     renaming of the names (``_class_of``), each stored with the names it
-    was searched under.  ``hits`` counts the outcomes given from it,
-    ``misses`` the searches made; it keeps the latest ``size`` outcomes."""
+    was searched under; and the results of the replays made, keyed by the
+    exact (initial entries, trace).  ``hits`` counts the outcomes given
+    from it, ``misses`` the searches made; it keeps the latest ``size``
+    outcomes and replay results."""
 
     size = 1024
 
@@ -1152,16 +1164,28 @@ class _Memo:
 
     def clear(self) -> None:
         self.stored: dict[tuple, tuple[tuple[str, ...], ProverOutcome]] = {}
+        self.replayed: dict[tuple, ReplayResult] = {}
         self.hits = 0
         self.misses = 0
 
     def store(self, key: tuple, names: tuple[str, ...], outcome: ProverOutcome) -> None:
-        if len(self.stored) >= self.size:
-            del self.stored[next(iter(self.stored))]
-        self.stored[key] = (names, outcome)
+        self.keep(self.stored, key, (names, outcome))
+
+    def keep(self, table: dict, key: tuple, value) -> None:
+        if len(table) >= self.size:
+            del table[next(iter(table))]
+        table[key] = value
 
 
 _memo = _Memo()
+
+
+def reset() -> None:
+    """Empty every per-run store: the search outcomes and replay results
+    (``_memo``) and the per-formula caches."""
+    _memo.clear()
+    for cache in (normalize, _fingerprint, _ground, _keys, _expansion):
+        cache.cache_clear()
 
 
 def _reuse(stored, names: tuple[str, ...], initial: tuple[Expr, ...]) -> Optional[ProverOutcome]:
@@ -1230,7 +1254,19 @@ def replay_trace(sequent: Sequent, trace: str) -> ReplayResult:
 
 
 def _replay(initial: tuple[Expr, ...], trace: str) -> ReplayResult:
-    """``replay_trace`` from the initial entries of a sequent."""
+    """``replay_trace`` from the initial entries of a sequent, run once per
+    run for each exact (initial, trace): its result, failed or not, is
+    kept in ``_memo``."""
+    key = (initial, trace)
+    result = _memo.replayed.get(key)
+    if result is None:
+        result = _replayed(initial, trace)
+        _memo.keep(_memo.replayed, key, result)
+    return result
+
+
+def _replayed(initial: tuple[Expr, ...], trace: str) -> ReplayResult:
+    """The replay itself: ``_replay`` without the store."""
     t = _Tableau(initial)
     stack: list[list[int]] = [list(range(len(t.entries)))]
     skolems: set[str] = set()

@@ -8,6 +8,4 @@ from proofmgr import prover
 
 @pytest.fixture(autouse=True)
 def empty_prover_memos():
-    prover.normalize.cache_clear()
-    prover._fingerprint.cache_clear()
-    prover._memo.clear()
+    prover.reset()

@@ -37,6 +37,32 @@ RENAMED_TO_Z = r"""THEOREM Renamed == TRUE
       OBVIOUS
 <1>4. QED OBVIOUS
 """
+# The second and fourth leaves are the first renamed; the third is the first
+RENAMED_TWICE = r"""THEOREM Twice == TRUE
+<1>1. ASSUME NEW S, NEW A, \A x : x \in S => x \in A PROVE S \subseteq A
+      OBVIOUS
+<1>2. ASSUME NEW C, NEW D, \A x : x \in C => x \in D PROVE C \subseteq D
+      OBVIOUS
+<1>3. ASSUME NEW S, NEW A, \A x : x \in S => x \in A PROVE S \subseteq A
+      OBVIOUS
+<1>4. ASSUME NEW C, NEW D, \A x : x \in C => x \in D PROVE C \subseteq D
+      OBVIOUS
+<1>5. QED OBVIOUS
+"""
+
+
+def count_replays(monkeypatch) -> list:
+    """The (initial entries, trace) of every replay really run from now on,
+    not given from the store."""
+    replayed = []
+    body = prover._replayed
+
+    def counted(initial, trace):
+        replayed.append((initial, trace))
+        return body(initial, trace)
+
+    monkeypatch.setattr(prover, "_replayed", counted)
+    return replayed
 
 
 def run(capsys, *argv):
@@ -257,10 +283,8 @@ class TestModes:
 class TestDeterminism:
     def test_output_byte_identical_across_runs(self, capsys):
         outs = []
+        # every run starts with the prover's stores empty (cli.run)
         for _ in range(3):
-            # every run searches afresh, not from an earlier run's memo
-            prover.normalize.cache_clear()
-            prover._memo.clear()
             code, out, _ = run(capsys, "check", CANTOR, "--prove", "--format", "json")
             assert code == 0
             outs.append(out)
@@ -298,13 +322,39 @@ class TestProveOncePerRun:
         assert memo.hits > 0
         assert len(replays) == proved == memo.hits + memo.misses == 61
 
-    def test_each_run_starts_with_an_empty_memo(self, capsys):
+    def test_each_run_starts_with_an_empty_memo(self, capsys, monkeypatch):
+        replayed = count_replays(monkeypatch)
         infos = []
         for _ in range(2):
+            replayed.clear()
             run(capsys, "check", CANTOR, "--prove")
-            infos.append((prover._memo.hits, prover._memo.misses, len(prover._memo.stored)))
-        # an earlier run's entries would turn the second run's misses into hits
-        assert infos[0] == infos[1] and infos[0][1] > 0
+            memo = prover._memo
+            caches = [f.cache_info() for f in (prover.normalize, prover._keys, prover._expansion)]
+            infos.append((memo.hits, memo.misses, len(memo.stored), len(replayed), caches))
+        # an earlier run's entries would turn the second run's misses into
+        # hits and its replays into lookups
+        assert infos[0] == infos[1] and infos[0][1] > 0 and infos[0][3] > 0
+
+    def test_each_replay_runs_once_per_run(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "twice.tla"
+        path.write_text(RENAMED_TWICE)
+        asked = []
+
+        def counted(sequent, trace):
+            asked.append((_initial(sequent), trace))
+            return prover.replay_trace(sequent, trace)
+
+        monkeypatch.setattr(cli, "replay_trace", counted)
+        replayed = count_replays(monkeypatch)
+        code, out, _ = run(capsys, "check", str(path), "--prove", "--format", "json")
+        assert code == 0
+        # every proved leaf is still replayed by the CLI
+        assert len(asked) == out.count('"outcome": "proved"') == 5
+        assert (prover._memo.hits, prover._memo.misses) == (3, 2)
+        # prove replays the renamed proofs of leaves 2 and 4, which are one;
+        # the CLI's replays of leaves 2 to 4 are lookups
+        assert len(replayed) == len(set(replayed)) == 3
+        assert set(replayed) == set(asked)
 
     def test_reversed_file_order_gives_the_same_reports(self):
         want = dict(

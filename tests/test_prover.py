@@ -1,6 +1,8 @@
 """Tableau prover: propositional and first-order search, equality, set
 rules, trace replay, budgets."""
 
+import functools
+import pickle
 import random
 import re
 
@@ -612,6 +614,56 @@ class TestClosureIndex:
         assert {p for p in every if closes(t, *p, cc)} <= set(got)
 
 
+@st.composite
+def tableau_entries(draw):
+    """Initial entries and added entries over constants and metavariables,
+    among them equal but distinct copies and copies with a and b swapped
+    (the same shape under other names), and a substitution binding some of
+    the metavariables."""
+    rng = random.Random(draw(st.integers(0, 10**9)))
+    formulas = [
+        normalize(rand_expr(rng, ["a", "b", "S", *METAS], draw(st.integers(0, 4))))
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    swap = {"a": Ident("b"), "b": Ident("a")}
+    copies = [pickle.loads(pickle.dumps(f)) for f in formulas]
+    copies += [subst_many(f, swap) for f in formulas]
+    subst = _Subst()
+    for k in draw(st.permutations(range(len(METAS)))):
+        if draw(st.booleans()):
+            subst.bind(METAS[k], meta_value(rng, k))
+    order = draw(st.permutations(formulas + copies))
+    cut = draw(st.integers(1, len(order)))
+    return tuple(order[:cut]), order[cut:], subst
+
+
+class TestTableauFacts:
+    # the per-formula facts are computed once per run, not per tableau: a
+    # tableau's must equal those computed from its own entries
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(tableau_entries())
+    def test_keys_and_views_equal_a_direct_computation(self, case):
+        initial, added, subst = case
+        t = _Tableau(initial)
+        for e in added:
+            t._add(e)
+
+        def check(m):
+            for i, e in enumerate(t.entries):
+                assert t.keys[i] == prover._keys.__wrapped__(e)
+                _, form, ground, _ = t._view(i)
+                assert form == rebuild(m, e)
+                assert ground == prover._ground.__wrapped__(form)
+                assert t._expansion_of(i) == prover._expansion.__wrapped__(form)
+
+        check({})
+        for name in subst.trail:
+            t.subst.bind(name, subst.map[name])
+        check(subst.map)
+        t.subst.undo(0)
+        check({})
+
+
 class TestBudgets:
     def test_fields_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -646,8 +698,7 @@ class TestBudgets:
             seq = rand_prop_sequent(rng)
             a = prove(seq, BIG)
             # the second call must search again, not read the memo
-            prover.normalize.cache_clear()
-            prover._memo.clear()
+            prover.reset()
             b = prove(seq, BIG)
             assert type(a) is type(b)
             if isinstance(a, Proved):
@@ -696,6 +747,60 @@ class TestMemo:
             assert prover._memo.misses == misses + 1  # searched again
         assert isinstance(prove(seq, Budget()), Proved)
         assert len(prover._memo.stored) == 1
+
+
+@functools.cache
+def replay_bases() -> list[tuple[tuple, str]]:
+    """(initial entries, trace) of the proof of every distinct corpus leaf
+    and of an equality chain to each set shape."""
+    seqs = [seq for _, _, _, seq in corpus_sequents()]
+    for shape, extra, goal in CHAIN_SHAPES.values():
+        hyps = ("X0 = X1", f"X1 = {shape}", r"c \in X0", *extra)
+        seqs.append(Sequent((), tuple(map(pe, hyps)), pe(goal)))
+    bases = {(_initial(seq), proved(seq, Budget()).trace) for seq in seqs}
+    return sorted(bases, key=lambda b: (len(b[1]), b[1]))
+
+
+@st.composite
+def replay_jobs(draw):
+    """(initial entries, trace) pairs to replay in turn: proofs, against
+    their own entries or another proof's, with a line dropped, altered or
+    swapped with another, some pairs repeated, in any order."""
+    bases = replay_bases()
+    pick = st.integers(0, len(bases) - 1)
+    jobs = []
+    for _ in range(draw(st.integers(1, 5))):
+        initial, trace = bases[draw(pick)]
+        if draw(st.integers(0, 3)) == 0:
+            trace = bases[draw(pick)][1]
+        lines = trace.splitlines(keepends=True)
+        k = draw(st.integers(0, len(lines) - 1))
+        how = draw(st.sampled_from(["keep", "drop", "alter", "swap"]))
+        if how == "drop":
+            del lines[k]
+        elif how == "alter":
+            fields = lines[k].rstrip("\n").split("\t")
+            f = draw(st.integers(0, len(fields) - 1))
+            fields[f] = str(int(fields[f]) + 1) if fields[f].isdigit() else fields[f] + "x"
+            lines[k] = "\t".join(fields) + "\n"
+        elif how == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[k], lines[j] = lines[j], lines[k]
+        jobs.append((initial, "".join(lines)))
+    jobs += [jobs[r] for r in draw(st.lists(st.integers(0, len(jobs) - 1), max_size=5))]
+    return draw(st.permutations(jobs))
+
+
+class TestReplayStore:
+    # the store lives through every example: results are kept from earlier
+    # examples, in other orders
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(replay_jobs())
+    def test_a_kept_replay_equals_an_uncached_one(self, jobs):
+        for initial, trace in jobs:
+            got = prover._replay(initial, trace)
+            assert got == prover._replayed(initial, trace), trace
+            assert (initial, trace) in prover._memo.replayed
 
 
 # Images for the names of a sequent that no rule gives a bound variable
