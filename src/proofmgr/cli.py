@@ -19,6 +19,11 @@ replay makes the leaf ``unknown`` and is named on standard error with the
 replay's first failure.  A replay already made in the run, by ``prove`` or
 for an earlier leaf, is looked up.
 
+A file's leaves are prepared (filtered and expanded) through one table of
+expansions, so a context prefix they share is expanded once.  All but the
+file's report is freed before its text is rendered, where memory peaks, and
+the text is written out before the next file is checked.
+
 With several files, ``--emit-traces DIR`` writes each file's traces to its
 own subdirectory ``DIR/<position>-<stem>`` (position from 0 in the argument
 list), and ``--emit-embeddings PATH`` holds every file's embeddings in file
@@ -32,7 +37,7 @@ import sys
 from contextlib import nullcontext
 from pathlib import Path
 from time import perf_counter
-from typing import Optional
+from typing import Optional, Union
 
 from .engine import check_theorem
 from .meta import MetaError
@@ -114,36 +119,60 @@ def check_file(path: str, config: RunConfig, sink) -> tuple[int, Optional[str]]:
     """Check (and prove) one file: (exit code, embeddings text).  The report
     text goes to sink and proved traces to the directory config.emit_traces;
     the embeddings text is rendered only when config.emit_embeddings is set,
-    and the caller writes it."""
+    and the caller writes it.
+
+    A run's memory peaks while the report text is rendered.  All else made
+    for the file (the checked theorem, the prepared obligations and the
+    tables their leaves share) is local to ``_report``, and freed before."""
+    built = _report(path, config)
+    if isinstance(built, int):
+        return built, None
+    report, embeddings = built
+    if config.list_obligations:
+        for leaf in report.leaves:
+            flag = " (omitted)" if leaf.omitted else ""
+            sink(f"[{leaf.id}] {leaf.path or '(root)'} {leaf.kind}{flag}")
+            sink(f"    {leaf.filtered}")
+    else:
+        sink(write_report(report, config.fmt).rstrip("\n"))
+    return EXIT_BY_STATUS[report.status], embeddings
+
+
+def _report(path: str, config: RunConfig) -> Union[int, tuple]:
+    """The report of one file and its embeddings text; the exit code instead
+    when the file cannot be read, parsed or checked (the error printed)."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
         print(f"{path}: {err}", file=sys.stderr)
-        return 4, None
+        return 4
     try:
         theorem = parse_theorem(text)
         checked = check_theorem(theorem, local_defs_usable=config.local_defs_usable)
     except ParseError as err:
         print(f"{path}: parse error: {err}", file=sys.stderr)
-        return 3, None
+        return 3
     except MetaError as err:
         print(f"{path}: ill-formed theorem: {err}", file=sys.stderr)
-        return 3, None
+        return 3
 
     for warning in checked.warnings:
         print(f"{path}: warning: {warning}", file=sys.stderr)
 
     # the prover, the report and the embeddings share one prepared
-    # obligation per leaf
+    # obligation per leaf, and the leaves one table of expansions, which is
+    # freed once they are prepared
     prepared = []
+    shared: dict = {}
     for record in checked.records:
         try:
-            prepared.append(prepared_obligation(record))
+            prepared.append(prepared_obligation(record, shared=shared))
         except MetaError as err:
             leaf = ".".join(record.path) or "(root)"
             at = f" at {record.span}" if record.span else ""
             print(f"{path}: ill-formed theorem: leaf {leaf}{at}: {err}", file=sys.stderr)
-            return 3, None
+            return 3
+    del shared
     outcomes: Optional[dict[int, tuple[str, Optional[float]]]] = (
         {} if config.prove_leaves else None
     )
@@ -178,44 +207,34 @@ def check_file(path: str, config: RunConfig, sink) -> tuple[int, Optional[str]]:
         for idx, trace in traces.items():
             (trace_dir / f"leaf-{idx}.trace").write_text(trace, encoding="utf-8")
     embeddings = write_embeddings(prepared) if config.emit_embeddings else None
-    # a run's memory peaks while the report text is rendered; the prepared
-    # obligations are not needed for it
-    del prepared
-
-    if config.list_obligations:
-        for leaf in report.leaves:
-            flag = " (omitted)" if leaf.omitted else ""
-            sink(f"[{leaf.id}] {leaf.path or '(root)'} {leaf.kind}{flag}")
-            sink(f"    {leaf.filtered}")
-    else:
-        sink(write_report(report, config.fmt).rstrip("\n"))
-    return EXIT_BY_STATUS[report.status], embeddings
+    return report, embeddings
 
 
 def run(config: RunConfig) -> int:
     # the prover's stores live as long as the process; a run starts them
     # empty, so that each run searches and replays its own obligations
     reset()
-    chunks: list[str] = []
     embedded: list[str] = []
     code = 0
-    for position, path in enumerate(config.paths):
-        file_config = config
-        if config.emit_traces and len(config.paths) > 1:
-            trace_dir = Path(config.emit_traces) / f"{position}-{Path(path).stem}"
-            file_config = RunConfig(**{**vars(config), "emit_traces": str(trace_dir)})
-        file_code, embeddings = check_file(path, file_config, chunks.append)
-        code = max(code, file_code)
-        if embeddings is not None:
-            embedded.append(embeddings)
-    if embedded:
-        Path(config.emit_embeddings).write_text("".join(embedded), encoding="utf-8")
-    # every file is checked before the report is written, chunk by chunk:
-    # the report is never held twice
+    # each file's report is written once the file is checked, chunk by
+    # chunk, so that no more than one file's report text is held
     with open(config.out, "w", encoding="utf-8") if config.out else nullcontext(sys.stdout) as out:
-        for chunk in chunks:
+
+        def sink(chunk: str) -> None:
             out.write(chunk)
             out.write("\n")
+
+        for position, path in enumerate(config.paths):
+            file_config = config
+            if config.emit_traces and len(config.paths) > 1:
+                trace_dir = Path(config.emit_traces) / f"{position}-{Path(path).stem}"
+                file_config = RunConfig(**{**vars(config), "emit_traces": str(trace_dir)})
+            file_code, embeddings = check_file(path, file_config, sink)
+            code = max(code, file_code)
+            if embeddings is not None:
+                embedded.append(embeddings)
+    if embedded:
+        Path(config.emit_embeddings).write_text("".join(embedded), encoding="utf-8")
     return code
 
 

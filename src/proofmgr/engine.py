@@ -36,6 +36,7 @@ from .meta import (
     obligation_free_identifiers,
     obligation_to_expression,
     reflect_binders,
+    twin,
     unhide,
     using_defs,
 )
@@ -170,19 +171,13 @@ def _splice_fragment(
     for h in fragment.context:
         match h:
             case New(name):
-                if name in taken:
-                    renamed = fresh_name(name, taken)
+                renamed = fresh_name(name, taken) if name in taken else name
+                if renamed != name:
                     mapping[name] = Ident(renamed)
-                    taken.add(renamed)
-                    out.append(New(renamed))
-                else:
-                    taken.add(name)
-                    out.append(New(name))
-            case Fact(obl, hidden):
-                if mapping and not obl.context:
-                    out.append(Fact(Obligation((), subst_many(obl.goal, mapping)), hidden))
-                else:
-                    out.append(Fact(obl, hidden))
+                taken.add(renamed)
+                out.append(New(renamed))
+            case Fact(obl, hidden) if mapping and not obl.context:
+                out.append(Fact(Obligation((), subst_many(obl.goal, mapping)), hidden))
             case _:
                 out.append(h)
     goal = subst_many(fragment.goal, mapping) if mapping else fragment.goal
@@ -230,20 +225,14 @@ def _peel(q: Quant, replacement: Expr) -> Expr:
     return substitute(inner, first.name, replacement)
 
 
-def _require_closed(e: Expr, ctx: Obligation, what: str, path: Path) -> None:
-    """A step may only mention names the context binds; anything else would
-    leak an unbound identifier into a leaf obligation."""
-    loose = free_identifiers(e) - context_binds(ctx.context)
-    if loose:
-        raise MeaninglessError(
-            f"{what} mentions {', '.join(sorted(loose))}, not bound in the context",
-            path,
-            ctx,
-        )
-
-
-def _require_closed_obligation(o: Obligation, ctx: Obligation, what: str, path: Path) -> None:
-    loose = obligation_free_identifiers(o) - context_binds(ctx.context)
+def _require_closed(
+    e: Union[Expr, Obligation], ctx: Obligation, what: str, path: Path, local=()
+) -> None:
+    """A step may only mention names the context binds, or local ones (its
+    own binders); anything else would leak an unbound identifier into a leaf
+    obligation.  e is an expression or an obligation."""
+    free = e.free if isinstance(e, Obligation) else free_identifiers(e)
+    loose = free - context_binds(ctx.context) - set(local)
     if loose:
         raise MeaninglessError(
             f"{what} mentions {', '.join(sorted(loose))}, not bound in the context",
@@ -276,6 +265,9 @@ class _Checker:
     def __init__(self, local_defs_usable: bool = True):
         self.local_defs_usable = local_defs_usable
         self.warnings: list[str] = []
+        # twin of each assumption whose hidden flag a step turned over
+        # (meta.twin), kept for this checker's theorem
+        self.twins: dict = {}
 
     # -- claims ---------------------------------------------------------
 
@@ -376,7 +368,7 @@ class _Checker:
                 gf = GoalForm((FactItem(g),), obl.goal)
                 return self._assert(token, gf, proof, obl, path, suppress_neg, rule="case")
             case SufficesStep(gf, proof):
-                return self._suffices(token, gf, proof, obl, path, suppress_neg)
+                return self._assert(token, gf, proof, obl, path, suppress_neg, rule="suffices")
             case PickStep(binders, pbody, proof):
                 return self._pick(token, binders, pbody, proof, obl, path)
             case QedStep():
@@ -393,7 +385,7 @@ class _Checker:
                     f"{'.'.join(spath)}: no definition named {name} in the context"
                 )
         if not body.hide:
-            ctx = using_defs(obl.context, body.defs)
+            ctx = using_defs(obl.context, body.defs, self.twins)
             start = Obligation(ctx, obl.goal)
             rule = "use-defs" if body.defs else "use"
             inner, output = self._use_fold(list(body.facts), start, spath)
@@ -403,7 +395,7 @@ class _Checker:
                 node = inner
             return StepOutcome(output, node)
         inner, mid = self._hide_fold(list(body.facts), obl, spath)
-        output = Obligation(hiding_defs(mid.context, body.defs), mid.goal)
+        output = Obligation(hiding_defs(mid.context, body.defs, self.twins), mid.goal)
         if body.defs:
             node = Derivation("hide-defs", obl, output, spath, children=(inner,), span=token.pos)
         else:
@@ -416,7 +408,7 @@ class _Checker:
         inner, mid = self._use_fold(facts[:-1], obl, spath)
         cited = facts[-1]
         _require_closed(cited, mid, "cited fact", spath)
-        side = Obligation(unhide(mid.context), cited)
+        side = Obligation(unhide(mid.context, self.twins), cited)
         leaf = LeafObligationRecord(side, spath, "use-fact-side")
         output = Obligation(mid.context + (fact(cited),), mid.goal)
         node = Derivation(
@@ -443,7 +435,7 @@ class _Checker:
         if idx is None:
             raise UnknownFact(f"no usable fact {pretty(cited)} to hide")
         ctx = list(mid.context)
-        ctx[idx] = Fact(mid.context[idx].obligation, hidden=True)  # type: ignore[union-attr]
+        ctx[idx] = twin(mid.context[idx], self.twins)  # type: ignore[arg-type]
         output = Obligation(tuple(ctx), mid.goal)
         node = Derivation("hide", obl, output, spath, children=(inner,))
         return node, output
@@ -451,14 +443,7 @@ class _Checker:
     def _define(self, token, body: DefineStep, obl, spath) -> StepOutcome:
         if body.name in context_binds(obl.context):
             raise DuplicateName(f"{body.name} is already bound in the context")
-        loose = free_identifiers(body.body) - context_binds(obl.context) - set(body.params)
-        if loose:
-            raise MeaninglessError(
-                f"definition body mentions {', '.join(sorted(loose))}, "
-                "not bound in the context",
-                spath,
-                obl,
-            )
+        _require_closed(body.body, obl, "definition body", spath, body.params)
         definable: Union[Obligation, Lambda]
         if body.params:
             definable = Lambda(body.params, body.body)
@@ -472,7 +457,7 @@ class _Checker:
             return StepOutcome(output, node)
         # proof-local definitions are usable by default: lower to an
         # immediate synthetic USE DEF of the new name
-        used = Obligation(using_defs(output.context, (body.name,)), output.goal)
+        used = Obligation(using_defs(output.context, (body.name,), self.twins), output.goal)
         use_node = Derivation("use-defs", output, used, spath, children=(
             Derivation("use-nil", used, used, spath),
         ))
@@ -576,63 +561,33 @@ class _Checker:
     def _assert(
         self, token, gf: GoalForm, proof, obl, path, suppress_neg, rule="assert"
     ) -> StepOutcome:
+        """An assertion (rule assert or case) or a SUFFICES step (rule
+        suffices).  The claim is proved inside: in the context with its
+        fragment spliced in (after the label's definition).  After the step
+        the claim is assumed (by the label's hidden fact).  An assertion
+        proves inside and goes on after; SUFFICES does the converse."""
         spath = path + (token.name,)
         alpha = goal_form_obligation(gf)
-        _require_closed_obligation(alpha, obl, "asserted claim", spath)
+        what = "SUFFICES claim" if rule == "suffices" else "asserted claim"
+        _require_closed(alpha, obl, what, spath)
         neg: tuple = () if suppress_neg else (fact(Neg(obl.goal), hidden=True),)
-        if token.label is None:
-            fragment, goal = _splice_fragment(context_binds(obl.context), alpha)
-            sub_obl = Obligation(obl.context + neg + fragment, goal)
-            output = Obligation(obl.context + (Fact(alpha),), obl.goal)
-            rule_name = rule if rule == "case" else "assert1"
-        else:
+        binds = context_binds(obl.context)
+        defined: tuple = ()
+        assumed: tuple = (Fact(alpha),)
+        if token.label is not None:
             label = token.name
-            if label in context_binds(obl.context):
+            if label in binds:
                 raise DuplicateName(f"step label {label} is already bound")
-            label_def = Def(label, alpha)
-            fragment, goal = _splice_fragment(
-                context_binds(obl.context) | {label}, alpha
-            )
-            sub_obl = Obligation(obl.context + neg + (label_def,) + fragment, goal)
-            output = Obligation(
-                obl.context + (label_def, Fact(Obligation((), Ident(label)), hidden=True)),
-                obl.goal,
-            )
-            rule_name = rule if rule == "case" else "assert2"
+            defined = (Def(label, alpha),)
+            assumed = defined + (Fact(Obligation((), Ident(label)), hidden=True),)
+            binds = binds | {label}
+        fragment, goal = _splice_fragment(binds, alpha)
+        inside = Obligation(obl.context + neg + defined + fragment, goal)
+        after = Obligation(obl.context + assumed, obl.goal)
+        sub_obl, output = (after, inside) if rule == "suffices" else (inside, after)
         sub = self.check(proof, sub_obl, spath, False)
-        node = Derivation(
-            rule_name, obl, output, spath, children=(sub,), span=token.pos
-        )
-        return StepOutcome(output, node)
-
-    def _suffices(self, token, gf, proof, obl, path, suppress_neg) -> StepOutcome:
-        spath = path + (token.name,)
-        alpha = goal_form_obligation(gf)
-        _require_closed_obligation(alpha, obl, "SUFFICES claim", spath)
-        neg: tuple = () if suppress_neg else (fact(Neg(obl.goal), hidden=True),)
-        if token.label is None:
-            sub_obl = Obligation(obl.context + (Fact(alpha),), obl.goal)
-            fragment, goal = _splice_fragment(context_binds(obl.context), alpha)
-            output = Obligation(obl.context + neg + fragment, goal)
-            rule_name = "suffices1"
-        else:
-            label = token.name
-            if label in context_binds(obl.context):
-                raise DuplicateName(f"step label {label} is already bound")
-            label_def = Def(label, alpha)
-            sub_obl = Obligation(
-                obl.context + (label_def, Fact(Obligation((), Ident(label)), hidden=True)),
-                obl.goal,
-            )
-            fragment, goal = _splice_fragment(
-                context_binds(obl.context) | {label}, alpha
-            )
-            output = Obligation(obl.context + neg + (label_def,) + fragment, goal)
-            rule_name = "suffices2"
-        sub = self.check(proof, sub_obl, spath, False)
-        node = Derivation(
-            rule_name, obl, output, spath, children=(sub,), span=token.pos
-        )
+        name = rule if rule == "case" else f"{rule}{1 if token.label is None else 2}"
+        node = Derivation(name, obl, output, spath, children=(sub,), span=token.pos)
         return StepOutcome(output, node)
 
     def _pick(self, token, binders, pbody, proof, obl, path) -> StepOutcome:
@@ -640,18 +595,7 @@ class _Checker:
         for b in binders:
             if b.domain is not None:
                 _require_closed(b.domain, obl, "PICK bound", spath)
-        loose = (
-            free_identifiers(pbody)
-            - context_binds(obl.context)
-            - {b.name for b in binders}
-        )
-        if loose:
-            raise MeaninglessError(
-                f"PICK body mentions {', '.join(sorted(loose))}, "
-                "not bound in the context",
-                spath,
-                obl,
-            )
+        _require_closed(pbody, obl, "PICK body", spath, [b.name for b in binders])
         existence = Obligation(obl.context, Quant("exists", tuple(binders), pbody))
         sub = self.check(proof, existence, spath, False, goal_kind="pick-existence")
         taken = context_binds(obl.context) | obligation_free_identifiers(obl)
@@ -661,14 +605,11 @@ class _Checker:
             dom = b.domain
             if dom is not None and mapping:
                 dom = subst_many(dom, mapping)
-            if b.name in taken:
-                fresh = fresh_name(b.name, taken)
+            fresh = fresh_name(b.name, taken) if b.name in taken else b.name
+            if fresh != b.name:
                 mapping[b.name] = Ident(fresh)
-                taken.add(fresh)
-                renamed.append(Binder(fresh, dom))
-            else:
-                taken.add(b.name)
-                renamed.append(Binder(b.name, dom))
+            taken.add(fresh)
+            renamed.append(Binder(fresh, dom))
         body = subst_many(pbody, mapping) if mapping else pbody
         output = Obligation(
             obl.context + reflect_binders(renamed) + (fact(body),), obl.goal

@@ -8,6 +8,13 @@ and demotes hidden definitions to declarations before dispatch.
 
 A plain expression used as a fact is stored as the obligation with empty
 context, and is rendered as the bare expression.
+
+The leaves of one proof share most of their context, so the work on an
+assumption can be kept in a table passed in, done once per distinct object
+while the table lives: the twin a visibility change makes (one table per
+checked theorem), its expansion (one per file) and its rendering and
+embedding (one per report).  A table is keyed on object identities and holds
+the objects, so that no identity is reused while it lives.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ __all__ = [
     "Lambda", "New", "Def", "Fact", "Obligation", "Context",
     "MetaError", "DuplicateBinder", "DuplicateName", "UnknownOperator",
     "UnknownFact", "ArityMismatch", "NotWellFormed",
-    "fact", "unhide", "using_defs", "hiding_defs", "reflect_binders",
+    "fact", "unhide", "using_defs", "hiding_defs", "twin", "reflect_binders",
     "filter_obligation", "expand_definition", "expand_all_usable",
     "embed", "check_well_formed", "obligation_free_identifiers",
     "alpha_equal_obligation", "obligation_to_expression",
@@ -129,12 +136,6 @@ class Obligation(Node):
         return obligation_free_identifiers(self)
 
     @cached_property
-    def rendered(self) -> str:
-        """``render_obligation``, kept for a nested obligation: sibling
-        leaves share their facts, and each leaf's report renders them."""
-        return render_obligation(self)
-
-    @cached_property
     def expression(self) -> Expr:
         """``obligation_to_expression``, computed once: sibling leaves share
         their facts, and each leaf's sequent reads them, so the caches keyed
@@ -188,51 +189,56 @@ def fact(body: Union[Expr, "Obligation"], hidden: bool = False) -> Fact:
 
 
 def context_binds(ctx: Context) -> set[str]:
-    out: set[str] = set()
-    for h in ctx:
-        if isinstance(h, (New, Def)):
-            out.add(h.name)
-    return out
+    return {h.name for h in ctx if isinstance(h, (New, Def))}
 
 
 # ---------------------------------------------------------------------------
 # Visibility
 
 
-def unhide(ctx: Context) -> Context:
+def unhide(ctx: Context, twins: Optional[dict] = None) -> Context:
     """All hidden flags cleared; order and content otherwise unchanged."""
-    out: list[Assumption] = []
-    for h in ctx:
-        match h:
-            case Def(name, definable, True):
-                out.append(Def(name, definable, False))
-            case Fact(obl, True):
-                out.append(Fact(obl, False))
-            case _:
-                out.append(h)
-    return tuple(out)
+    return _flipped(ctx, lambda h: h.hidden, twins)
 
 
-def using_defs(ctx: Context, names: Iterable[str]) -> Context:
+def using_defs(ctx: Context, names: Iterable[str], twins: Optional[dict] = None) -> Context:
     """Hidden definitions whose name is listed become usable."""
     names = set(names)
-    return tuple(
-        Def(h.name, h.definable, False)
-        if isinstance(h, Def) and h.hidden and h.name in names
-        else h
-        for h in ctx
-    )
+    return _flipped(ctx, lambda h: h.hidden and isinstance(h, Def) and h.name in names, twins)
 
 
-def hiding_defs(ctx: Context, names: Iterable[str]) -> Context:
+def hiding_defs(ctx: Context, names: Iterable[str], twins: Optional[dict] = None) -> Context:
     """Usable definitions whose name is listed become hidden."""
     names = set(names)
-    return tuple(
-        Def(h.name, h.definable, True)
-        if isinstance(h, Def) and not h.hidden and h.name in names
-        else h
-        for h in ctx
-    )
+    return _flipped(ctx, lambda h: not h.hidden and isinstance(h, Def) and h.name in names, twins)
+
+
+def _flipped(ctx: Context, flip, twins: Optional[dict]) -> Context:
+    """ctx with the hidden flag of each definition or fact that flip selects
+    turned over; every other item is itself."""
+    return tuple(h if isinstance(h, New) or not flip(h) else twin(h, twins) for h in ctx)
+
+
+def twin(h: Union[Def, Fact], twins: Optional[dict] = None) -> Union[Def, Fact]:
+    """h with its hidden flag turned over.  With a table of twins (see
+    ``_once``), kept by the checker for one theorem, the same h gives the
+    very same twin each time, so the contexts of sibling steps share it."""
+    if twins is not None:
+        return _once(twin, h, twins)
+    if isinstance(h, Def):
+        return Def(h.name, h.definable, not h.hidden)
+    return Fact(h.obligation, not h.hidden)
+
+
+def _once(f, x, memo: Optional[dict], *args):
+    """f(x, *args), computed once per object x while memo is kept: memo maps
+    id(x) to (x, f(x, *args)), and holding x keeps its id from being reused."""
+    if memo is None:
+        return f(x, *args)
+    hit = memo.get(id(x))
+    if hit is None:
+        hit = memo[id(x)] = (x, f(x, *args))
+    return hit[1]
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +269,9 @@ def filter_obligation(o: Obligation) -> Obligation:
 
     An obligation, fact or definition with nothing hidden under it is
     returned itself, not rebuilt, so the filtered leaves of one proof share
-    the assumptions they have in common (and their cached ``free`` and
-    ``rendered``).  Whether anything is hidden is kept on each obligation
-    (``Obligation.hides``), so a fact shared by sibling leaves is walked
-    once."""
+    the assumptions they have in common (and their cached ``free``).
+    Whether anything is hidden is kept on each obligation (``hides``), so a
+    fact shared by sibling leaves is walked once."""
     if not o.hides:
         return o
     out: list[Assumption] = []
@@ -280,15 +285,11 @@ def filter_obligation(o: Obligation) -> Obligation:
             case Def(name, _, True):
                 out.append(New(name))
             case Def(name, definable, False):
-                d = _filter_definable(definable)
+                d = definable if isinstance(definable, Lambda) else filter_obligation(definable)
                 out.append(h if d is definable else Def(name, d, False))
             case _:
                 out.append(h)
     return Obligation(tuple(out), o.goal)
-
-
-def _filter_definable(d: Union[Obligation, Lambda]) -> Union[Obligation, Lambda]:
-    return d if isinstance(d, Lambda) else filter_obligation(d)
 
 
 # ---------------------------------------------------------------------------
@@ -408,11 +409,7 @@ def expand_definition(o: Obligation, name: str) -> Obligation:
     Expansion avoids capture: a binder, a LAMBDA parameter or a nested
     declaration or definition that would bind a free name of the definable
     is renamed apart first."""
-    idx = None
-    for k, h in enumerate(o.context):
-        if isinstance(h, Def) and h.name == name:
-            idx = k
-            break
+    idx = next((k for k, h in enumerate(o.context) if isinstance(h, Def) and h.name == name), None)
     if idx is None:
         raise UnknownOperator(f"{name} is not defined in the context")
     definable = o.context[idx].definable  # type: ignore[union-attr]
@@ -480,7 +477,9 @@ def _expand_expr(e: Expr, name: str, d) -> Expr:
     return substitute(e, name, d if isinstance(d, Lambda) else obligation_to_expression(d))
 
 
-def expand_all_usable(o: Obligation, drop_unused: bool = True) -> Obligation:
+def expand_all_usable(
+    o: Obligation, drop_unused: bool = True, shared: Optional[dict] = None
+) -> Obligation:
     """Expand every usable definition left to right, then optionally drop
     definitions no later assumption or the goal still mentions.
 
@@ -489,14 +488,30 @@ def expand_all_usable(o: Obligation, drop_unused: bool = True) -> Obligation:
     order, each definition already expanded by the ones before it.  This is
     the fold of ``expand_definition`` over the usable definitions, provided
     no name is bound twice in the top-level context (as ``check_well_formed``
-    requires): then no top-level binder can shadow or capture one."""
+    requires): then no top-level binder can shadow or capture one.
+
+    shared, a table kept across the leaves of one file, holds each expanded
+    assumption under the identities of the assumption and of the (expanded)
+    definitions it uses, which are all it depends on, and holds those
+    objects so that no identity is reused.  Leaves whose contexts share a
+    prefix thus expand it once and get the very same expanded objects."""
+    shared = {} if shared is None else shared
     defs: dict[str, Union[Obligation, Lambda]] = {}
     ctx: list[Assumption] = []
     for h in o.context:
         if defs and not isinstance(h, New):
             free = h.definable.free if isinstance(h, Def) else h.obligation.free
-            for name in [n for n in defs if n in free]:
-                h = _expand_assumption(h, name, defs[name])
+            names = [n for n in defs if n in free]
+            if names:
+                used = tuple(defs[n] for n in names)
+                key = (id(h), *names, *map(id, used))
+                hit = shared.get(key)
+                if hit is None:
+                    e = h
+                    for name, d in zip(names, used):
+                        e = _expand_assumption(e, name, d)
+                    hit = shared[key] = (e, h, used)
+                h = hit[0]
         ctx.append(h)
         if isinstance(h, Def) and not h.hidden:
             defs[h.name] = h.definable
@@ -556,64 +571,69 @@ def obligation_to_expression(o: Obligation) -> Expr:
 # Embedding into framework propositions
 
 
-def embed(o: Obligation) -> str:
+def embed(o: Obligation, memo: Optional[dict] = None) -> str:
     """Render the obligation as a framework proposition.
 
     NEW x becomes the meta-binder ``!!x.``, a definition becomes
     ``!!o. (o == body) ==>``, a fact becomes ``(fact) ==>``; hidden and
     usable assumptions are emitted identically and the goal comes last.
+    With a memo (see ``_once``) each assumption and nested obligation is
+    embedded once while it is kept.
     """
     check_well_formed(o)
-    return _embed(o)
+    return _embed(o, memo)
 
 
-def _embed(o: Obligation) -> str:
-    parts: list[str] = []
-    for h in o.context:
-        match h:
-            case New(name):
-                parts.append(f"!!{name}. ")
-            case Def(name, definable, _):
-                parts.append(f"!!{name}. ({name} == {_embed_definable(definable)}) ==> ")
-            case Fact(obl, _):
-                parts.append(f"({_embed(obl)}) ==> ")
-    return "".join(parts) + pretty(o.goal)
+def _embed(o: Obligation, memo: Optional[dict]) -> str:
+    return "".join(_once(_embed_assumption, h, memo, memo) for h in o.context) + pretty(o.goal)
 
 
-def _embed_definable(d: Union[Obligation, Lambda]) -> str:
+def _embed_assumption(h: Assumption, memo: Optional[dict]) -> str:
+    match h:
+        case New(name):
+            return f"!!{name}. "
+        case Def(name, definable, _):
+            return f"!!{name}. ({name} == {_embed_definable(definable, memo)}) ==> "
+        case Fact(obl, _):
+            return f"({_embed_definable(obl, memo)}) ==> "
+    raise TypeError(type(h).__name__)
+
+
+def _embed_definable(d: Union[Obligation, Lambda], memo: Optional[dict]) -> str:
     if isinstance(d, Lambda):
         return f"\\lambda {' '.join(d.params)}. {pretty(d.body)}"
-    return _embed(d)
+    return _once(_embed, d, memo, memo)
 
 
 # ---------------------------------------------------------------------------
 # Display
 
 
-def render_assumption(h: Assumption) -> str:
+def render_assumption(h: Assumption, memo: Optional[dict] = None) -> str:
     match h:
         case New(name):
             return f"NEW {name}"
         case Def(name, definable, hidden):
-            body = render_definable(definable)
-            s = f"{name} == {body}"
-            return f"[{s}]" if hidden else s
+            s = f"{name} == {render_definable(definable, memo)}"
         case Fact(obl, hidden):
-            s = pretty(obl.goal) if not obl.context else f"({obl.rendered})"
-            return f"[{s}]" if hidden else s
-    raise TypeError(type(h).__name__)
+            s = render_definable(obl, memo)
+        case _:
+            raise TypeError(type(h).__name__)
+    return f"[{s}]" if hidden else s
 
 
-def render_definable(d: Union[Obligation, Lambda]) -> str:
+def render_definable(d: Union[Obligation, Lambda], memo: Optional[dict] = None) -> str:
     if isinstance(d, Lambda):
         return f"LAMBDA {', '.join(d.params)} : {pretty(d.body)}"
     if not d.context:
         return pretty(d.goal)
-    return f"({d.rendered})"
+    return f"({_once(render_obligation, d, memo, memo)})"
 
 
-def render_obligation(o: Obligation) -> str:
+def render_obligation(o: Obligation, memo: Optional[dict] = None) -> str:
+    """With a memo (see ``_once``) each assumption and nested obligation is
+    rendered once while it is kept."""
     if not o.context:
         return pretty(o.goal)
-    items = ", ".join(render_assumption(h) for h in o.context)
+    items = ", ".join(_once(render_assumption, h, memo, memo) for h in o.context)
     return f"{items} |- {pretty(o.goal)}"

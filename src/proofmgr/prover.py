@@ -84,8 +84,17 @@ class Budget(s.Node):
 
 
 class Sequent(s.Node):
-    # constants: tuple[str, ...], hypotheses: tuple[Expr, ...], goal: Expr
-    __slots__ = ("constants", "hypotheses", "goal")
+    # constants: tuple[str, ...], hypotheses: tuple[Expr, ...], goal: Expr;
+    # __dict__ keeps ``start``
+    __slots__ = ("constants", "hypotheses", "goal", "__dict__")
+
+    @functools.cached_property
+    def start(self) -> Union[str, tuple[Expr, ...]]:
+        """What ``prove`` and ``replay_trace`` start from, worked out once
+        per sequent: the error naming its reserved names, if there are any,
+        else its initial entries (``_initial``)."""
+        bad = _reserved_names(self)
+        return f"reserved names in sequent: {bad}" if bad else _initial(self)
 
 
 class Stats(s.Node):
@@ -1215,10 +1224,9 @@ def prove(sequent: Sequent, budget: Budget = Budget()) -> ProverOutcome:
     A renamed proof is replayed against this sequent before it is given,
     and the obligation is searched when the replay fails.  A timeout is
     never stored: the next obligation of its class is searched again."""
-    bad = _reserved_names(sequent)
-    if bad:
-        return Malformed(f"reserved names in sequent: {bad}")
-    initial = _initial(sequent)
+    initial = sequent.start
+    if isinstance(initial, str):
+        return Malformed(initial)
     key, names = _class_of(initial, budget)
     stored = _memo.stored.get(key)
     if stored is not None:
@@ -1247,10 +1255,10 @@ class ReplayResult(s.Node):
 
 def replay_trace(sequent: Sequent, trace: str) -> ReplayResult:
     """Re-apply every rule in the trace and confirm all branches close."""
-    bad = _reserved_names(sequent)
-    if bad:
-        return ReplayResult(False, f"reserved names in sequent: {bad}")
-    return _replay(_initial(sequent), trace)
+    initial = sequent.start
+    if isinstance(initial, str):
+        return ReplayResult(False, initial)
+    return _replay(initial, trace)
 
 
 def _replay(initial: tuple[Expr, ...], trace: str) -> ReplayResult:

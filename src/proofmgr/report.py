@@ -5,7 +5,8 @@ The JSON document has stable field names: ``theorem``, ``status``,
 ``omitted``, ``obligation`` (raw), ``filtered`` (after filtration and, by
 default, usable-definition expansion), ``embedding``, ``outcome`` and
 ``millis``.  Timing is null unless explicitly requested, keeping output
-byte-identical across runs.
+byte-identical across runs.  Each distinct assumption of a file's leaves is
+rendered and embedded once, through memos freed when the report is built.
 
 Status values: PROVED (complete, meaningful, every leaf proved), INCOMPLETE
 (omitted leaves exist, all others proved; also used when a path selection
@@ -45,10 +46,14 @@ def _fields_of(record: Node) -> dict:
     return {f: getattr(record, f) for f in record._fields}
 
 
-def prepared_obligation(record: LeafObligationRecord, expand: bool = True) -> Obligation:
-    """The prover-facing form of a leaf: filtered, optionally expanded."""
+def prepared_obligation(
+    record: LeafObligationRecord, expand: bool = True, shared: Optional[dict] = None
+) -> Obligation:
+    """The prover-facing form of a leaf: filtered, optionally expanded.
+    shared is the table of expansions kept across a file's leaves (see
+    ``expand_all_usable``)."""
     filtered = filter_obligation(record.obligation)
-    return expand_all_usable(filtered) if expand else filtered
+    return expand_all_usable(filtered, shared=shared) if expand else filtered
 
 
 def build_report(
@@ -61,9 +66,14 @@ def build_report(
     """Assemble the report; outcomes maps leaf index to (outcome, millis),
     None meaning a structure-only run.  prepared, when given, holds
     prepared_obligation(record) of every record, reused instead of computed
-    again when expand_filtered is on."""
+    again when expand_filtered is on.  Each distinct assumption is rendered
+    and embedded once, through memos that live only while the report is
+    built."""
     if prepared is None or not expand_filtered:
-        prepared = [prepared_obligation(r, expand_filtered) for r in checked.records]
+        shared: dict = {}
+        prepared = [prepared_obligation(r, expand_filtered, shared) for r in checked.records]
+    rendered: dict = {}
+    embedded: dict = {}
     leaves = []
     for idx, record in enumerate(checked.records):
         outcome, millis = (None, None)
@@ -75,9 +85,9 @@ def build_report(
                 path=".".join(record.path),
                 kind=record.kind,
                 omitted=record.omitted,
-                obligation=render_obligation(record.obligation),
-                filtered=render_obligation(prepared[idx]),
-                embedding=embed(prepared[idx]),
+                obligation=render_obligation(record.obligation, rendered),
+                filtered=render_obligation(prepared[idx], rendered),
+                embedding=embed(prepared[idx], embedded),
                 outcome=outcome,
                 millis=millis,
             )

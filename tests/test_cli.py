@@ -10,6 +10,7 @@ from helpers import cantor_text
 from proofmgr import cli, prover
 from proofmgr.cli import main
 from proofmgr.engine import check_theorem
+from proofmgr.meta import embed, filter_obligation, render_obligation
 from proofmgr.parser import parse_theorem
 from proofmgr.prover import (
     Budget,
@@ -278,6 +279,33 @@ class TestModes:
         )
         assert code == 2
         assert "FAILED" in out
+
+    def test_raw_filtered_shows_each_leaf_filtered_only(self, capsys):
+        paths = [CANTOR, *sorted(str(p) for p in (DATA / "corpus").glob("*.tla"))]
+        code, out, _ = run(capsys, "check", "--prove", "--raw-filtered", "--format", "json", *paths)
+        want_code, want, _ = run(capsys, "check", "--prove", "--format", "json", *paths)
+        raw, default = reports_of(out), reports_of(want)
+        assert code == want_code == 0 and len(raw) == len(default) == len(paths)
+        expanded = 0
+        for path, got, plain in zip(paths, raw, default):
+            records = check_theorem(parse_theorem(Path(path).read_text(encoding="utf-8"))).records
+            filtered = [filter_obligation(r.obligation) for r in records]
+            assert [l["filtered"] for l in got["leaves"]] == [render_obligation(f) for f in filtered]
+            assert [l["embedding"] for l in got["leaves"]] == [embed(f) for f in filtered]
+            assert [l["outcome"] for l in got["leaves"]] == [l["outcome"] for l in plain["leaves"]]
+            assert got["status"] == plain["status"]
+            expanded += sum(a["filtered"] != b["filtered"] for a, b in zip(got["leaves"], plain["leaves"]))
+        assert expanded  # some leaf's definitions are expanded by default
+
+
+def reports_of(text: str) -> list[dict]:
+    """The JSON reports of a run over several files, in file order."""
+    decoder, reports, at = json.JSONDecoder(), [], 0
+    while text[at:].strip():
+        report, end = decoder.raw_decode(text, at)
+        reports.append(report)
+        at = end + 1  # the newline after each report
+    return reports
 
 
 class TestDeterminism:

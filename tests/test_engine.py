@@ -100,6 +100,21 @@ class TestUseHide:
         with pytest.raises(UnknownFact):
             transform_step(TOK, UseHideStep((pe("Q"),), (), hide=True), o)
 
+    def test_side_leaves_share_the_twins_of_their_context(self):
+        thm = parse_theorem(
+            "THEOREM T == ASSUME NEW P PROVE P => P\n"
+            "<1>1. P => P\n      OBVIOUS\n"
+            "<1>2. P => P\n      OBVIOUS\n"
+            "<1>3. QED BY <1>1, <1>2\n"
+        )
+        records = check_theorem(thm).records
+        first, second = [r.obligation.context for r in records if r.kind == "use-fact-side"]
+        main = next(r.obligation.context for r in records if r.kind == "by-goal")
+        # the hidden label facts are shown in both, by the very same twins
+        shown = [k for k, h in enumerate(first) if h is not main[k]]
+        assert shown and all(main[k].hidden and not first[k].hidden for k in shown)
+        assert all(a is b for a, b in zip(first, second))
+
     def test_hide_def_hides_definition(self):
         o = Obligation(
             (New("S"), Def("T", Obligation((), Ident("S")))), pe(r"T \subseteq S")

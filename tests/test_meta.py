@@ -29,6 +29,7 @@ from proofmgr.meta import (
     obligation_free_identifiers,
     obligation_to_expression,
     reflect_binders,
+    render_assumption,
     render_obligation,
     unhide,
     using_defs,
@@ -88,6 +89,25 @@ class TestVisibility:
     def test_absent_names_ignored(self):
         ctx = (New("x"),)
         assert using_defs(ctx, {"nope"}) == ctx
+
+    def test_twins_are_the_same_objects_each_time(self):
+        d = Obligation((), pe("x = x"))
+        ctx = (New("x"), Def("T", d, hidden=True), fact(pe("P(x)"), hidden=True), fact(pe("Q(x)")))
+        twins: dict = {}
+        shown = unhide(ctx, twins)
+        assert all(a is b for a, b in zip(unhide(ctx, twins), shown))
+        assert shown == unhide(ctx) and shown[1] is not ctx[1]
+        used = using_defs(ctx, {"T"}, twins)
+        assert used[1] is shown[1] and used[2] is ctx[2]
+        hidden = hiding_defs(used, {"T"}, twins)
+        assert hiding_defs(used, {"T"}, twins)[1] is hidden[1] and hidden[1] == ctx[1]
+
+    def test_an_item_with_nothing_to_flip_is_itself(self):
+        ctx = (New("x"), Def("T", Obligation((), pe("x = x"))), fact(pe("P(x)")))
+        for twins in (None, {}):
+            assert all(a is b for a, b in zip(unhide(ctx, twins), ctx))
+            assert all(a is b for a, b in zip(using_defs(ctx, {"T"}, twins), ctx))
+            assert all(a is b for a, b in zip(hiding_defs(ctx, {"U"}, twins), ctx))
 
 
 class TestReflectBinders:
@@ -452,6 +472,64 @@ class TestOneWalkExpansion:
         assert expand_all_usable(o, drop_unused) == expand_by_fold(o, drop_unused)
 
 
+def scope_of(ctx) -> dict:
+    """The names a context binds, as expr_of takes them."""
+    return {
+        h.name: None if isinstance(h, New)
+        else len(h.definable.params) if isinstance(h.definable, Lambda) else 0
+        for h in ctx
+        if not isinstance(h, Fact)
+    }
+
+
+@st.composite
+def sibling_leaves(draw):
+    """The leaves of one proof: obligations whose contexts are prefixes of
+    one context and hold its very assumption objects, some with every hidden
+    flag cleared through one table of twins (as the checker's side leaves
+    are), each with a goal of its own over the names its prefix binds."""
+    base = draw(usable_obligations())
+    twins: dict = {}
+    leaves = []
+    for _ in range(draw(st.integers(1, 6))):
+        prefix = base.context[: draw(st.integers(1, len(base.context)))]
+        if draw(st.booleans()):
+            prefix = unhide(prefix, twins)
+        leaves.append(Obligation(prefix, expr_of(draw, scope_of(prefix), 2)))
+    return leaves
+
+
+class TestSharedPreparation:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(sibling_leaves())
+    def test_equals_each_leaf_prepared_on_its_own(self, leaves):
+        shared: dict = {}
+        rendered: dict = {}
+        embedded: dict = {}
+        for o in leaves:
+            alone = expand_all_usable(filter_obligation(o))
+            together = expand_all_usable(filter_obligation(o), shared=shared)
+            assert together == alone
+            assert render_obligation(together, rendered) == render_obligation(alone)
+            assert embed(together, embedded) == embed(alone)
+            assert render_obligation(o, rendered) == render_obligation(o)
+        assert all(key[0] == id(entry[1]) for key, entry in shared.items())
+
+    def test_a_shared_prefix_is_expanded_once(self):
+        ctx = (
+            New("S"),
+            New("x"),
+            Def("D", Lambda(("p",), pe(r"p \in S"))),
+            fact(pe("D(x)")),
+            fact(pe("D(S)")),
+        )
+        shared: dict = {}
+        a = expand_all_usable(Obligation(ctx, pe("D(x)")), shared=shared)
+        b = expand_all_usable(Obligation(ctx[:4], pe(r"x \in S")), shared=shared)
+        assert len(shared) == 2  # D(x) and D(S), each expanded once
+        assert a.context[2] is b.context[2] and a.context[2] == fact(pe(r"x \in S"))
+
+
 class TestEmbedding:
     def test_meta_binder_example(self):
         inner = Obligation((New("x"),), pe("P(x)"))
@@ -634,7 +712,8 @@ def test_kept_rendering_is_that_of_a_fresh_copy():
     for _ in range(200):
         o = Obligation(tuple(Fact(rand_obligation(rng)) for _ in range(2)), pe("TRUE"))
         fresh = copy.deepcopy(o)
-        first = render_obligation(o)
-        # the second rendering reads every nested obligation's kept text
-        assert render_obligation(o) == first == render_obligation(fresh)
-        assert all(h.obligation.rendered == render_obligation(h.obligation) for h in o.context)
+        memo: dict = {}
+        first = render_obligation(o, memo)
+        # the second rendering reads every assumption's kept text
+        assert render_obligation(o, memo) == first == render_obligation(fresh)
+        assert all(memo[id(h)][1] == render_assumption(h) for h in o.context)

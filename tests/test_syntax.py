@@ -104,12 +104,12 @@ class TestSubstitute:
         # x1 is taken by a free occurrence inside the body
         assert out == parse_expression(r"\A x2 : x2 = x /\ x1 = x1")
 
-    @settings(max_examples=200)
+    @settings(max_examples=200, deadline=None)
     @given(exprs())
     def test_nonfree_substitution_is_identity(self, e):
         assert substitute(e, "zz_not_free", Ident("a")) == e
 
-    @settings(max_examples=200)
+    @settings(max_examples=200, deadline=None)
     @given(exprs(), st.integers(0, 10**9))
     def test_disjoint_substitutions_commute(self, e, seed):
         # applied-operator positions only take names, not arbitrary terms
@@ -149,7 +149,7 @@ class TestAlphaEqual:
         sb = substitute(b, "y", Ident("x"))
         assert alpha_equal(sa, sb)
 
-    @settings(max_examples=200)
+    @settings(max_examples=200, deadline=None)
     @given(exprs())
     def test_reflexive(self, e):
         assert alpha_equal(e, e)
@@ -178,7 +178,7 @@ class TestPretty:
         assert parse_expression(out) == e
         assert pretty(parse_expression(out)) == out
 
-    @settings(max_examples=300)
+    @settings(max_examples=300, deadline=None)
     @given(exprs())
     def test_roundtrip_on_random_asts(self, e):
         # pretty . parse . pretty == pretty
@@ -195,7 +195,7 @@ def test_fresh_name_smallest_suffix():
 
 
 class TestHash:
-    @settings(max_examples=200, derandomize=True, database=None)
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(st.integers(0, 10**9), st.integers(0, 4))
     def test_copies_and_equal_terms_hash_equal(self, seed, depth):
         e = rand_expr(random.Random(seed), ["a", "b", "S", "f"], depth)
@@ -206,7 +206,7 @@ class TestHash:
         reparsed = parse_expression(pretty(e))  # positions differ
         assert reparsed == e and hash(reparsed) == h
 
-    @settings(max_examples=200, derandomize=True, database=None)
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(st.integers(0, 10**9), st.integers(0, 4))
     def test_cached_rendering_is_that_of_a_fresh_term(self, seed, depth):
         e = rand_expr(random.Random(seed), ["a", "b", "S", "f"], depth)
@@ -217,7 +217,7 @@ class TestHash:
             assert pretty(a) == pretty(b)
         assert parse_expression(pretty(e)) == e
 
-    @settings(max_examples=100, derandomize=True, database=None)
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
     @given(st.integers(0, 10**9), st.integers(0, 4))
     def test_copies_carry_no_cached_hash_or_rendering(self, seed, depth):
         e = rand_expr(random.Random(seed), ["a", "b", "S", "f"], depth)
@@ -498,7 +498,7 @@ class TestNode:
             with pytest.raises(TypeError):
                 call()
 
-    @settings(max_examples=60, derandomize=True, database=None)
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
     @given(st.integers(0, 10**9))
     def test_generated_terms_and_records(self, seed):
         rng = random.Random(seed)
