@@ -52,7 +52,8 @@ from .prover import (
     reset,
     sequent_from_obligation,
 )
-from .report import build_report, prepared_obligation, write_embeddings, write_report
+from .report import build_report, prepared_obligation, report_chunks, write_embeddings
+from .report import write_report  # noqa: F401 - bench/traced.py wraps cli.write_report
 
 EXIT_BY_STATUS = {
     "PROVED": 0,
@@ -115,15 +116,15 @@ def _selected(path: str, only: Optional[str]) -> bool:
     return path == only or path.startswith(only + ".") or path.startswith(only + "<")
 
 
-def check_file(path: str, config: RunConfig, sink) -> tuple[int, Optional[str]]:
+def check_file(path: str, config: RunConfig, write) -> tuple[int, Optional[str]]:
     """Check (and prove) one file: (exit code, embeddings text).  The report
-    text goes to sink and proved traces to the directory config.emit_traces;
-    the embeddings text is rendered only when config.emit_embeddings is set,
-    and the caller writes it.
+    text goes to write, piece by piece as it is rendered, and proved traces
+    to the directory config.emit_traces; the embeddings text is rendered
+    only when config.emit_embeddings is set, and the caller writes it.
 
-    A run's memory peaks while the report text is rendered.  All else made
-    for the file (the checked theorem, the prepared obligations and the
-    tables their leaves share) is local to ``_report``, and freed before."""
+    A run's memory peaks while the report is rendered.  All else made for
+    the file (the checked theorem, the prepared obligations and the tables
+    their leaves share) is local to ``_report``, and freed before."""
     built = _report(path, config)
     if isinstance(built, int):
         return built, None
@@ -131,10 +132,10 @@ def check_file(path: str, config: RunConfig, sink) -> tuple[int, Optional[str]]:
     if config.list_obligations:
         for leaf in report.leaves:
             flag = " (omitted)" if leaf.omitted else ""
-            sink(f"[{leaf.id}] {leaf.path or '(root)'} {leaf.kind}{flag}")
-            sink(f"    {leaf.filtered}")
+            write(f"[{leaf.id}] {leaf.path or '(root)'} {leaf.kind}{flag}\n    {leaf.filtered}\n")
     else:
-        sink(write_report(report, config.fmt).rstrip("\n"))
+        for chunk in report_chunks(report, config.fmt):
+            write(chunk)
     return EXIT_BY_STATUS[report.status], embeddings
 
 
@@ -217,19 +218,14 @@ def run(config: RunConfig) -> int:
     embedded: list[str] = []
     code = 0
     # each file's report is written once the file is checked, chunk by
-    # chunk, so that no more than one file's report text is held
+    # chunk, so that no more than a chunk of its text is held
     with open(config.out, "w", encoding="utf-8") if config.out else nullcontext(sys.stdout) as out:
-
-        def sink(chunk: str) -> None:
-            out.write(chunk)
-            out.write("\n")
-
         for position, path in enumerate(config.paths):
             file_config = config
             if config.emit_traces and len(config.paths) > 1:
                 trace_dir = Path(config.emit_traces) / f"{position}-{Path(path).stem}"
                 file_config = RunConfig(**{**vars(config), "emit_traces": str(trace_dir)})
-            file_code, embeddings = check_file(path, file_config, sink)
+            file_code, embeddings = check_file(path, file_config, out.write)
             code = max(code, file_code)
             if embeddings is not None:
                 embedded.append(embeddings)
@@ -255,7 +251,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     check.add_argument("--format", choices=("text", "json"), default="text")
     check.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
     check.add_argument("--timeout-ms", type=int, default=5000)
-    check.add_argument("--depth", type=int, default=12)
+    check.add_argument("--depth", type=int, default=12, help="most first-order steps on a branch")
     check.add_argument("--gamma-reuse", type=int, default=4)
     check.add_argument(
         "--local-defs-hidden",

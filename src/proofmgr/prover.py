@@ -17,6 +17,12 @@ The prover refutes hypotheses plus the negated goal.  Rules:
   negated equality whose side is a set-shaped term; a bounded rewrite step
   re-exposes a set shape hidden behind a branch equality.
 
+The depth bound counts only the first-order steps, those that can make new
+formulas without end: gamma, rewrite, comprehension membership (the
+instance of its predicate may hold the formula again) and the theory rules
+func-space and extensionality.  Every other rule fires at most once per
+formula per branch, and a chain of them ends, so it costs no depth.
+
 Bounded quantifiers and the negative relation forms are normalized away on
 entry (``\\A x \\in S : e`` to ``\\A x : x \\in S => e``, dually for ``\\E``;
 ``#`` and ``\\notin`` to negations).
@@ -57,9 +63,9 @@ whose mapped trace does not replay.  A timeout is never stored.
 
 Replay is memoised on the exact (initial entries, trace), failures
 included, so a run replays each pair once, whether ``prove`` asks for it
-or the CLI.  A formula's closure keys, groundness and expansion are
-memoised too, for every tableau it occurs in.  The CLI empties every such
-store at the start of each run (``reset``).
+or the CLI.  A formula's normal form, shape and expansion are memoised
+too, for every tableau it occurs in, and its free names are kept on the
+term.  The CLI empties every such store at the start of each run (``reset``).
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ from __future__ import annotations
 import functools
 import re
 import time
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from . import syntax as s
 from .meta import Def, Fact, New, Obligation
@@ -147,8 +153,8 @@ def normalize(e: Expr) -> Expr:
     fragment the tableau rules operate on.
 
     Memoised by structure, so the search, its replay and sibling leaves get
-    the very same normal form of an equal hypothesis, and the caches keyed
-    by it (``free_identifiers``) hit by identity.  A subterm already in
+    the very same normal form of an equal hypothesis, and the free names
+    kept on it (``free_identifiers``) are worked out once.  A subterm already in
     normal form is returned itself, so the memo holds few nodes of its own."""
     match e:
         case s.Ne(l, r):
@@ -182,7 +188,6 @@ def _is_meta(e: Expr) -> bool:
     return isinstance(e, Ident) and e.name.startswith("?")
 
 
-@functools.lru_cache(maxsize=4096)
 def _ground(e: Expr) -> bool:
     """No metavariable occurs in e (e already resolved)."""
     return not any(n.startswith("?") for n in free_identifiers(e))
@@ -583,7 +588,6 @@ def _head(e: Expr):
     return type(e)
 
 
-@functools.lru_cache(maxsize=4096)
 def _keys(e: Expr) -> tuple:
     """(head of e, head of the atom under e's negation or None).  A
     substitution replaces only metavariables, so neither changes unless it
@@ -758,6 +762,8 @@ class _Branch:
 
 
 _THEORY_RULES = ("func-space", "extensionality")
+# The rules besides gamma that cost depth (see the module's docstring)
+_CHARGED = ("rewrite", "subset-of", "subset-of-neg", *_THEORY_RULES)
 
 
 class _Search(_Tableau):
@@ -776,45 +782,73 @@ class _Search(_Tableau):
         self.trace = []
         self.counter = 0
         self.cut = False
-        branch = _Branch(list(range(len(self.entries))), set(), {}, depth)
-        return self._prove(branch, [])
+        return self._prove([_Branch(list(range(len(self.entries))), set(), {}, depth)])
 
     def _check_time(self) -> None:
         if time.monotonic() > self.deadline:
             raise _Timeout()
 
-    def _emit(self, head: str, intro: tuple = ()) -> int:
+    def _emit(self, head: str, intro: tuple = ()) -> None:
         """Add a trace line: its head fields, and the introduced entries as
         (id, formula resolved now).  The text is rendered only for a proof
         (``_render``): most lines are taken back when their branch fails."""
         self.trace.append((head, intro))
-        return len(self.trace)
 
-    def _untrace(self, mark: int) -> None:
-        del self.trace[mark - 1 :]
+    def _closed(self, line: str, rest: list[_Branch]) -> list[_Branch]:
+        """The agenda after the closure of the branch by the trace line."""
+        self._emit(line)
+        self.closures += 1
+        return rest
 
-    def _pop(self, k: int) -> None:
-        n = len(self.entries) - k
-        del self.entries[n:], self.keys[n:], self.views[n:]
+    def _back(self, mark: tuple[int, int, int]) -> None:
+        """Take back the trace lines, entries and names made since the mark
+        (lengths of the trace and entries, the name counter); ``_closings``
+        takes back its own bindings."""
+        lines, n, self.counter = mark
+        del self.trace[lines:], self.entries[n:], self.keys[n:], self.views[n:]
 
-    def _prove(self, cur: _Branch, rest: list[_Branch]) -> bool:
-        self._check_time()
-        closed = self._try_closures(cur, rest)
-        if closed is not None:
-            return closed
-        if cur.depth <= 0:
-            self.cut = True
-            return False
-        return self._try_expansions(cur, rest)
+    def _prove(self, agenda: Optional[list[_Branch]]) -> bool:
+        """Close every branch of the agenda, the first first.  Where a
+        branch goes on in more than one way, the ways are kept on a stack of
+        choice points, each with the mark that takes a failed way back, so
+        the search needs no Python stack however large its tableau."""
+        choices: list[tuple[tuple[int, int, int], Iterator[list[_Branch]]]] = []
+        while True:
+            while agenda is None:  # the last way failed: take the next one
+                if not choices:
+                    return False
+                mark, ways = choices[-1]
+                self._back(mark)
+                agenda = next(ways, None)
+                if agenda is None:
+                    choices.pop()
+            if not agenda:
+                return True
+            self._check_time()
+            cur, rest = agenda[0], agenda[1:]
+            # the agenda to go on with when cur goes on in one way, else the
+            # agendas of its ways
+            step = self._try_closures(cur, rest)
+            if not isinstance(step, list):
+                step = self._ways(cur, rest, *step) if step[0] else self._try_expansions(cur, rest)
+            if isinstance(step, list):
+                agenda = step
+            else:
+                choices.append(((len(self.trace), len(self.entries), self.counter), step))
+                agenda = None
 
-    def _continue(self, rest: list[_Branch]) -> bool:
-        if not rest:
-            return True
-        return self._prove(rest[0], rest[1:])
+    def _ways(self, cur, rest, bindings, cc):
+        """The agendas of cur's closures with bindings, then of its expansions."""
+        for pairs, head in bindings:
+            for binds in self._closings(pairs, cc):
+                yield self._closed(f"{head}\t{binds}", rest)
+        way = self._try_expansions(cur, rest)
+        yield from [way] if isinstance(way, list) else way
 
-    def _try_closures(self, cur: _Branch, rest: list[_Branch]) -> Optional[bool]:
-        """None: no closure worked.  True/False: a closure without new
-        bindings was found and committed to; result is the continuation's."""
+    def _try_closures(self, cur: _Branch, rest: list[_Branch]):
+        """rest when a closure without bindings closes cur, committed to;
+        else (the closures with bindings, as (pairs, trace head) each, to be
+        tried in turn; the branch's congruence)."""
         items = cur.items
         start = 0 if len(self.subst.trail) != cur.version else cur.checked
         if start and any(
@@ -827,13 +861,9 @@ class _Search(_Tableau):
         for i in news:
             e = self._resolved(i)
             if _is_falsum(e):
-                self._emit(f"close-false\t{i}")
-                self.closures += 1
-                return self._continue(rest)
+                return self._closed(f"close-false\t{i}", rest)
             if isinstance(e, Neg) and isinstance(e.item, s.Eq) and e.item.left == e.item.right:
-                self._emit(f"close-eq\t{i}\t")
-                self.closures += 1
-                return self._continue(rest)
+                return self._closed(f"close-eq\t{i}\t", rest)
         cc = self._congruence(items)
         # the pairs with a new member that may close, in pair order
         pairs = self._candidates(items, start, cc)
@@ -842,9 +872,7 @@ class _Search(_Tableau):
             ei, ej = self._resolved(i), self._resolved(j)
             for a, b in ((ei, ej), (ej, ei)):
                 if isinstance(a, Neg) and a.item == b:
-                    self._emit(f"close\t{i}\t{j}\t")
-                    self.closures += 1
-                    return self._continue(rest)
+                    return self._closed(f"close\t{i}\t{j}\t", rest)
         # congruence closures (no bindings: commit)
         if cc is not None:
             for i in news:
@@ -855,9 +883,7 @@ class _Search(_Tableau):
                     and isinstance(e.item, s.Eq)
                     and cc.equal(e.item.left, e.item.right)
                 ):
-                    self._emit(f"close-eq\t{i}\t")
-                    self.closures += 1
-                    return self._continue(rest)
+                    return self._closed(f"close-eq\t{i}\t", rest)
             for i, j in pairs:
                 _, ei, gi, _ = self._view(i)
                 _, ej, gj, _ = self._view(j)
@@ -870,20 +896,13 @@ class _Search(_Tableau):
                         and isinstance(b, _ATOMS)
                         and cc.equal_atom(a.item, b)
                     ):
-                        self._emit(f"close\t{x}\t{y}\t")
-                        self.closures += 1
-                        return self._continue(rest)
+                        return self._closed(f"close\t{x}\t{y}\t", rest)
         # binding closures: backtrackable choice points (congruence-assisted)
-        for i in news:
-            found = _complements(self._resolved(i))
-            if found and self._close_binding(rest, cc, found, f"close-eq\t{i}"):
-                return True
+        bindings = [(_complements(self._resolved(i)), f"close-eq\t{i}") for i in news]
         for i, j in pairs:
-            ei, ej = self._resolved(i), self._resolved(j)
-            found = [(a, b) for a, b in _complements(ei, ej) if a != b]
-            if found and self._close_binding(rest, cc, found, f"close\t{i}\t{j}"):
-                return True
-        return None
+            found = _complements(self._resolved(i), self._resolved(j))
+            bindings.append(([(a, b) for a, b in found if a != b], f"close\t{i}\t{j}"))
+        return [b for b in bindings if b[0]], cc
 
     def _candidates(self, items: list[int], start: int, cc) -> list[tuple[int, int]]:
         """The pairs (i, j) of items, j at position start or later, that a
@@ -923,16 +942,12 @@ class _Search(_Tableau):
         found.sort()
         return [(items[p], items[q]) for p, q in found]
 
-    def _close_binding(self, rest, cc, pairs, head: str) -> bool:
-        for binds in self._closings(pairs, cc):
-            mark_t = self._emit(f"{head}\t{binds}")
-            self.closures += 1
-            if self._continue(rest):
-                return True
-            self._untrace(mark_t)
-        return False
-
-    def _try_expansions(self, cur: _Branch, rest: list[_Branch]) -> bool:
+    def _try_expansions(self, cur: _Branch, rest: list[_Branch]):
+        """The agenda after the one expansion to make, else the agendas of
+        the alternatives, to be tried in turn."""
+        if cur.depth <= 0:
+            self.cut = True
+            return iter(())
         # invertible non-branching rules first, then delta, rewrite, beta;
         # gamma instantiations and the heuristic theory rules are tried as
         # backtrackable alternatives at the end; one walk of the branch finds
@@ -970,12 +985,10 @@ class _Search(_Tableau):
         if beta is not None:
             return self._apply(cur, rest, *beta)
         alternatives.sort(key=lambda g: (g[0], g[1]))
-        for _, i, exp in alternatives:
-            if self._apply(cur, rest, i, exp):
-                return True
-        return False
+        return (self._apply(cur, rest, i, exp) for _, i, exp in alternatives)
 
-    def _apply(self, cur, rest, i, exp) -> bool:
+    def _apply(self, cur, rest, i, exp) -> list[_Branch]:
+        """The agenda after applying exp to entry i of cur."""
         rule, kind, payload = exp
         if kind in ("alpha", "beta"):
             return self._apply_parts(cur, rest, i, rule, payload, branch=kind == "beta")
@@ -983,38 +996,22 @@ class _Search(_Tableau):
         name = f"?{self.counter}" if kind == "gamma" else f"!sk{self.counter}"
         inst = self._instance(exp, name)
         nid = self._add(inst)
-        mark_t = self._emit(f"{rule}\t{i}\t{name}", ((nid, self._resolved(nid)),))
+        self._emit(f"{rule}\t{i}\t{name}", ((nid, self._resolved(nid)),))
         self.expansions += 1
         if kind == "gamma":
-            nxt = cur.extend([nid], None, 1, len(self.subst.trail), gamma_of=i)
-        else:
-            nxt = cur.extend([nid], (i, rule), 1, len(self.subst.trail))
-        if self._prove(nxt, rest):
-            return True
-        self._untrace(mark_t)
-        self._pop(1)
-        self.counter -= 1
-        return False
+            return [cur.extend([nid], None, 1, len(self.subst.trail), gamma_of=i), *rest]
+        return [cur.extend([nid], (i, rule), 0, len(self.subst.trail)), *rest]
 
-    def _apply_parts(self, cur, rest, i, rule, parts, branch=False) -> bool:
+    def _apply_parts(self, cur, rest, i, rule, parts, branch=False) -> list[_Branch]:
         ids = [self._add(p) for p in parts]
-        mark_t = self._emit(f"{rule}\t{i}", tuple((n, self._resolved(n)) for n in ids))
+        self._emit(f"{rule}\t{i}", tuple((n, self._resolved(n)) for n in ids))
         self.expansions += 1
         version = len(self.subst.trail)
-        if not branch or len(ids) == 1:
-            nxt = cur.extend(ids, (i, rule), 1, version)
-            if self._prove(nxt, rest):
-                return True
-        else:
-            # second part explored first: it usually constrains the
-            # metavariables the first part's side condition needs
-            first = cur.extend([ids[1]], (i, rule), 1, version)
-            deferred = cur.extend([ids[0]], (i, rule), 1, version)
-            if self._prove(first, [deferred] + rest):
-                return True
-        self._untrace(mark_t)
-        self._pop(len(ids))
-        return False
+        cost = 1 if rule in _CHARGED else 0
+        # a beta's second part is explored first: it usually constrains the
+        # metavariables the first part's side condition needs
+        groups = [[n] for n in reversed(ids)] if branch else [ids]
+        return [*(cur.extend(g, (i, rule), cost, version) for g in groups), *rest]
 
 
 def _render(line: tuple[str, tuple]) -> str:
@@ -1191,9 +1188,9 @@ _memo = _Memo()
 
 def reset() -> None:
     """Empty every per-run store: the search outcomes and replay results
-    (``_memo``) and the per-formula caches."""
+    (``_memo``) and the per-formula memos."""
     _memo.clear()
-    for cache in (normalize, _fingerprint, _ground, _keys, _expansion):
+    for cache in (normalize, _fingerprint, _expansion):
         cache.cache_clear()
 
 

@@ -17,7 +17,7 @@ did not match any rule), and CHECKED (structure-only run, nothing attempted).
 from __future__ import annotations
 
 import json
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .engine import CheckedTheorem, LeafObligationRecord
 from .meta import Obligation, embed, expand_all_usable, filter_obligation, render_obligation
@@ -117,11 +117,19 @@ def compute_status(
 
 
 def write_report(report: ObligationReport, fmt: str = "json") -> str:
+    return "".join(report_chunks(report, fmt))
+
+
+def report_chunks(report: ObligationReport, fmt: str = "json") -> Iterator[str]:
+    """The report's text in pieces, made as they are asked for, so that a
+    writer need not hold the whole JSON text (the largest object of a run)."""
     if fmt == "json":
         document = _fields_of(report)
         document["leaves"] = [_fields_of(leaf) for leaf in report.leaves]
         document["errors"] = [_fields_of(error) for error in report.errors]
-        return json.dumps(document, indent=2) + "\n"
+        yield from json.JSONEncoder(indent=2).iterencode(document)
+        yield "\n"
+        return
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
     lines = [f"theorem {report.theorem or '(unnamed)'}: {report.status}"]
@@ -132,7 +140,7 @@ def write_report(report: ObligationReport, fmt: str = "json") -> str:
         lines.append(f"      {leaf.filtered}")
     for err in report.errors:
         lines.append(f"  error at {err.path}: {err.message}")
-    return "\n".join(lines) + "\n"
+    yield "\n".join(lines) + "\n"
 
 
 def _path_key(path: str):

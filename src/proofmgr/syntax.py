@@ -8,9 +8,10 @@ structurally identical expressions compare equal regardless of where they
 were parsed.  Each node computes its structural hash on first use and
 caches it in a slot, so hashing a term costs O(1) per node once; ``pretty``
 caches a term's rendering on its root node the same way, so a term that
-sibling leaves share is rendered once.  String hashes are salted per
-process, so a node pickles (and copies) as its class and fields only: the
-cached hash and rendering are recomputed wherever the node is loaded.
+sibling leaves share is rendered once; a term's free names are kept in a
+slot on each of its nodes.  String hashes are salted per process, so a node
+pickles (and copies) as its class and fields only: the cached hash,
+rendering and free names are recomputed wherever the node is loaded.
 
 Scoping: quantifiers, set comprehensions and image sets bind their binder
 names in their body only; binder domains are scoped to the enclosing context
@@ -19,7 +20,6 @@ names in their body only; binder domains are scoped to the enclosing context
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import attrgetter
 from typing import Iterator, Mapping, Optional
 
@@ -180,10 +180,11 @@ class Pos(Node):
 
 
 class Expr(Positioned):
-    __slots__ = ("_pretty",)
+    __slots__ = ("_pretty", "_names")
 
 
 _set_pretty = Expr._pretty.__set__  # type: ignore[attr-defined]
+_set_names = Expr._names.__set__  # type: ignore[attr-defined]
 
 
 class Ident(Expr):
@@ -365,9 +366,17 @@ def map_children(e: Expr, f) -> Expr:
             return type(e)(f(e.left), f(e.right))  # type: ignore[attr-defined]
 
 
-@lru_cache(maxsize=262144)
 def free_identifiers(e: Expr) -> frozenset[str]:
-    """Names with a free occurrence in e (operator names included)."""
+    """Names with a free occurrence in e (operator names included), kept on
+    e once computed, so they live exactly as long as the term."""
+    try:
+        return e._names  # type: ignore[attr-defined]
+    except AttributeError:
+        _set_names(e, _free_names(e))
+        return e._names  # type: ignore[attr-defined]
+
+
+def _free_names(e: Expr) -> frozenset[str]:
     match e:
         case Ident(name):
             return frozenset({name})

@@ -357,7 +357,8 @@ class TestProveOncePerRun:
             replayed.clear()
             run(capsys, "check", CANTOR, "--prove")
             memo = prover._memo
-            caches = [f.cache_info() for f in (prover.normalize, prover._keys, prover._expansion)]
+            stores = (prover.normalize, prover._fingerprint, prover._expansion)
+            caches = [f.cache_info() for f in stores]
             infos.append((memo.hits, memo.misses, len(memo.stored), len(replayed), caches))
         # an earlier run's entries would turn the second run's misses into
         # hits and its replays into lookups

@@ -39,6 +39,7 @@ from proofmgr.meta import Def, New, Obligation, fact
 from proofmgr.syntax import (
     Binder,
     Eq,
+    Expr,
     Ident,
     Implies,
     In,
@@ -637,9 +638,15 @@ def tableau_entries(draw):
     return tuple(order[:cut]), order[cut:], subst
 
 
+def fresh(e: Expr) -> Expr:
+    """An equal copy of e that carries none of the facts kept on e."""
+    return pickle.loads(pickle.dumps(e))
+
+
 class TestTableauFacts:
-    # the per-formula facts are computed once per run, not per tableau: a
-    # tableau's must equal those computed from its own entries
+    # the per-formula facts are kept on the term (free names) or once per
+    # run (expansion), not per tableau: a tableau's must equal those
+    # computed afresh from copies of its own entries
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(tableau_entries())
     def test_keys_and_views_equal_a_direct_computation(self, case):
@@ -650,11 +657,12 @@ class TestTableauFacts:
 
         def check(m):
             for i, e in enumerate(t.entries):
-                assert t.keys[i] == prover._keys.__wrapped__(e)
+                assert t.keys[i] == prover._keys(fresh(e))
                 _, form, ground, _ = t._view(i)
                 assert form == rebuild(m, e)
-                assert ground == prover._ground.__wrapped__(form)
-                assert t._expansion_of(i) == prover._expansion.__wrapped__(form)
+                assert free_identifiers(form) == free_identifiers(fresh(form))
+                assert ground == _ground(fresh(form))
+                assert t._expansion_of(i) == prover._expansion.__wrapped__(fresh(form))
 
         check({})
         for name in subst.trail:
@@ -703,6 +711,97 @@ class TestBudgets:
             assert type(a) is type(b)
             if isinstance(a, Proved):
                 assert a.trace == b.trace
+
+
+def implication_chain(n: int) -> Sequent:
+    """P0, P0 => P1, ..., P(n-1) => Pn |- Pn."""
+    names = tuple(f"P{i}" for i in range(n + 1))
+    hyps = (Ident("P0"), *(Implies(Ident(a), Ident(b)) for a, b in zip(names, names[1:])))
+    return Sequent(names, hyps, Ident(names[-1]))
+
+
+def iff_assoc(n: int) -> Sequent:
+    """|- ((P1 <=> P2) <=> ...) <=> (P1 <=> (P2 <=> ...)): valid, and its
+    tableau has hundreds of branches for n = 5."""
+    left, right = "P1", f"P{n}"
+    for i in range(2, n + 1):
+        left = f"({left} <=> P{i})"
+    for i in range(n - 1, 0, -1):
+        right = f"(P{i} <=> {right})"
+    return Sequent(tuple(f"P{i}" for i in range(1, n + 1)), (), pe(f"{left} <=> {right}"))
+
+
+# Sequents with a countermodel (named after each): never to be proved
+COUNTERMODELS = [
+    (("A", "B"), (r"A \subseteq B",), r"B \subseteq A"),  # A = {}, B = {1}
+    (("S", "P"), (r"\E x \in S : P(x)",), r"\A x \in S : P(x)"),  # S = {1, 2}, P = {1}
+    (("S", "T", "f", "c"), (r"f \in [S -> T]", r"c \in T"), r"c \in S"),  # S = f = {}, T = {c}
+    (("S", "P", "c"), (r"c \in S",), r"c \in {x \in S : P(x)}"),  # S = {c}, P = {}
+    (("a", "b", "c"), ("a = b",), "b = c"),  # a = b = 1, c = 2
+    (("P", "Q"), (r"P \/ Q",), "P"),  # P false, Q true
+    (("P", "Q", "R"), ("P => Q", "Q => R"), "R => P"),  # P false, Q and R true
+]
+
+
+class TestDepthAccounting:
+    """Only the steps that can make new formulas without end cost depth:
+    gamma, rewrite, comprehension membership and the theory rules."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 10**9))
+    def test_propositional_sequents_are_decided_at_depth_one(self, seed):
+        seq = rand_prop_sequent(random.Random(seed))
+        out = prove(seq, Budget(1, 5000, 1))
+        assert isinstance(out, Proved) == truth_table_valid(seq)
+        if isinstance(out, Proved):
+            assert replay_trace(seq, out.trace).ok
+
+    @pytest.mark.parametrize(
+        "seq",
+        [
+            implication_chain(14),
+            Sequent(("S", "T"), (pe(r"S \subseteq T"),), pe(r"SUBSET S \subseteq SUBSET T")),
+            iff_assoc(5),
+        ],
+        ids=["implication-chain-14", "powerset-monotone", "iff-associative-5"],
+    )
+    def test_proved_at_the_default_budget(self, seq):
+        out = prove(seq, Budget())
+        assert isinstance(out, Proved)
+        assert replay_trace(seq, out.trace).ok
+
+    @pytest.mark.parametrize("constants, hyps, goal", COUNTERMODELS)
+    def test_a_countermodel_is_never_proved(self, constants, hyps, goal):
+        out = prove(Sequent(constants, tuple(map(pe, hyps)), pe(goal)), BIG)
+        assert isinstance(out, Unknown) and out.reason == "exhausted"
+
+    def test_a_self_reproducing_comprehension_is_cut_by_depth(self):
+        # the instance of the predicate is the principal formula again
+        R = r"{x \in S : x \in x}"
+        out = prove(Sequent(("S",), (), pe(f"{R} \\in {R}")), Budget(6, 5000, 4))
+        assert isinstance(out, Unknown) and out.reason == "exhausted"
+
+    def test_a_tableau_of_hundreds_of_choice_points_is_searched(self):
+        # every one of the 200 branches instantiates the universal and closes
+        # with a binding: more choice points than Python's stack has frames
+        names = tuple(f"a{i}" for i in range(200))
+        goal = pe(" /\\ ".join(f"P({a})" for a in names))
+        seq = Sequent((*names, "P"), (pe(r"\A x : P(x)"),), goal)
+        out = prove(seq, Budget())
+        assert isinstance(out, Proved)
+        assert replay_trace(seq, out.trace).ok
+
+    def test_cantor_qed_within_two_iterations(self, monkeypatch):
+        runs = []
+        run = _Search.run
+
+        def counted(self, depth):
+            runs.append(depth)
+            return run(self, depth)
+
+        monkeypatch.setattr(_Search, "run", counted)
+        assert isinstance(_search(_initial(cantor_qed()), Budget()), Proved)
+        assert len(runs) <= 2
 
 
 def corpus_sequents():

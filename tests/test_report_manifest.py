@@ -24,7 +24,7 @@ def report_bytes(path: Path) -> bytes:
     """The CLI's standard output for the one file, default options."""
     chunks: list[str] = []
     check_file(str(path), RunConfig([str(path)], prove_leaves=True, fmt="json"), chunks.append)
-    return ("\n".join(chunks) + "\n").encode("utf-8")
+    return "".join(chunks).encode("utf-8")
 
 
 def manifest() -> str:

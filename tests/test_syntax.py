@@ -222,13 +222,26 @@ class TestHash:
     def test_copies_carry_no_cached_hash_or_rendering(self, seed, depth):
         e = rand_expr(random.Random(seed), ["a", "b", "S", "f"], depth)
         hash(e)
+        free_identifiers(e)
         for n in nodes(e):
             pretty(n)
+        assert not any(hasattr(copy.copy(n), "_names") for n in nodes(e))
         for twin in (copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
             assert twin == e
             for n in nodes(twin):
                 for obj in (n, *getattr(n, "binders", ())):
                     assert not hasattr(obj, "_hash") and not hasattr(obj, "_pretty")
+                    assert not hasattr(obj, "_names")
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.integers(0, 10**9), st.integers(0, 4))
+    def test_kept_free_names_are_those_of_a_fresh_copy(self, seed, depth):
+        e = rand_expr(random.Random(seed), ["a", "b", "S", "f"], depth)
+        kept = [free_identifiers(n) for n in nodes(e)]  # kept on every node of e
+        assert kept[0] is free_identifiers(e)
+        twin = pickle.loads(pickle.dumps(e))
+        for names, n in zip(kept, nodes(twin), strict=True):
+            assert free_identifiers(n) == names
 
     def test_unpickled_term_hashes_as_built_in_a_process_with_another_seed(self):
         # string hashes are salted per process: a hash cached in this process
@@ -436,7 +449,7 @@ def _check_node_semantics(root, rng):
             if other is not type(n) and other._fields == n._fields and other._check is None:
                 assert other(*values) != n and n != other(*values)
         # immutable: no field, cache or position can be set or deleted
-        for name in (*n._fields, "_hash", "_pretty", "pos"):
+        for name in (*n._fields, "_hash", "_pretty", "_names", "pos"):
             with pytest.raises(AttributeError):
                 setattr(n, name, None)
             with pytest.raises(AttributeError):
@@ -446,7 +459,7 @@ def _check_node_semantics(root, rng):
         for a, b in zip(nodes, _reachable(copied), strict=True):
             assert type(b) is type(a) and b == a
             assert getattr(b, "pos", None) == getattr(a, "pos", None)
-            assert not hasattr(b, "_hash") and not hasattr(b, "_pretty")
+            assert not any(hasattr(b, k) for k in ("_hash", "_pretty", "_names"))
 
 
 class TestNode:
