@@ -826,8 +826,6 @@ class _Search(_Tableau):
                 return True
             self._check_time()
             cur, rest = agenda[0], agenda[1:]
-            # the agenda to go on with when cur goes on in one way, else the
-            # agendas of its ways
             step = self._try_closures(cur, rest)
             if not isinstance(step, list):
                 step = self._ways(cur, rest, *step) if step[0] else self._try_expansions(cur, rest)
