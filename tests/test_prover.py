@@ -731,7 +731,7 @@ def iff_assoc(n: int) -> Sequent:
     return Sequent(tuple(f"P{i}" for i in range(1, n + 1)), (), pe(f"{left} <=> {right}"))
 
 
-# Sequents with a countermodel (named after each): never to be proved
+# Sequents with a countermodel, given after each: never to be proved
 COUNTERMODELS = [
     (("A", "B"), (r"A \subseteq B",), r"B \subseteq A"),  # A = {}, B = {1}
     (("S", "P"), (r"\E x \in S : P(x)",), r"\A x \in S : P(x)"),  # S = {1, 2}, P = {1}
@@ -783,7 +783,8 @@ class TestDepthAccounting:
 
     def test_a_tableau_of_hundreds_of_choice_points_is_searched(self):
         # every one of the 200 branches instantiates the universal and closes
-        # with a binding: more choice points than Python's stack has frames
+        # with a binding: 400 nested choice points, more than a search that
+        # recursed at each one has Python stack for
         names = tuple(f"a{i}" for i in range(200))
         goal = pe(" /\\ ".join(f"P({a})" for a in names))
         seq = Sequent((*names, "P"), (pe(r"\A x : P(x)"),), goal)
