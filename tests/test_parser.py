@@ -4,6 +4,7 @@ import random
 import string
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import all_tokens, cantor_text, mutate_token_level, rand_wellformed_proof
 from proofmgr.parser import (
@@ -40,6 +41,61 @@ from proofmgr.syntax import (
     SetImage,
     pretty,
 )
+
+
+_LEXEMES = st.one_of(
+    st.sampled_from([
+        "THEOREM", "QED", "SUBSET", "==", "=>", "<=>", "=", "#", "~", "(", ")",
+        "{", "}", "[", "]", "->", ",", ":", "/\\", "\\/", "\\A", "\\E", "\\in",
+        "\\notin", "\\subseteq",
+    ]),
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,8}", fullmatch=True),
+    st.from_regex(r"<[0-9]{1,3}>[A-Za-z0-9_]{0,3}\.?", fullmatch=True),
+)
+_BLANKS = st.sampled_from([" ", "\t", "\n", "\r\n", "  \\* note /\\ <1>\n"])
+
+
+class TestLexer:
+    @pytest.mark.parametrize(
+        "text, message, where",
+        [
+            ("P \\q Q", "unknown escape '\\\\q Q'", "1:3"),
+            ("P \\inS", "unknown escape '\\\\inS'", "1:3"),
+            ("THEOREM\n  <x>1", "malformed step token", "2:3"),
+            ("P / Q", "stray '/'", "1:3"),
+            ("x\t- y", "stray '-'", "1:3"),
+            ("x \u00e9 y", "unexpected character '\u00e9'", "1:3"),
+        ],
+    )
+    def test_lexical_errors(self, text, message, where):
+        with pytest.raises(ParseError) as exc:
+            tokenize(text)
+        assert exc.value.message == message
+        assert str(exc.value) == f"{where}: {message}"
+
+    def test_positions_after_comments_crlf_and_tabs(self):
+        text = "\\* c \\/\r\nx\t\\in  \\* tail\n\t<1>a. QED\r\n\tP"
+        got = [(t.kind, t.value, str(t.pos)) for t in tokenize(text)]
+        assert got == [
+            ("IDENT", "x", "2:1"),
+            ("\\in", "\\in", "2:3"),
+            ("STEPDOT", "<1>a", "3:2"),
+            ("QED", "QED", "3:8"),
+            ("IDENT", "P", "4:2"),
+            ("EOF", "", "4:3"),
+        ]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(_BLANKS, _LEXEMES), max_size=30), _BLANKS)
+    def test_each_token_points_at_its_text(self, pieces, tail):
+        text = "".join(blank + lexeme for blank, lexeme in pieces) + tail
+        tokens = tokenize(text)
+        lines = text.split("\n")
+        for t in tokens:
+            assert lines[t.pos.line - 1][t.pos.col - 1:].startswith(t.value)
+        assert [t.value for t in tokens] == [
+            w[:-1] if w[0] == "<" and w[-1] == "." else w for _, w in pieces
+        ] + [""]
 
 
 class TestExpressions:
