@@ -287,12 +287,10 @@ class _Checker:
                 leaf = LeafObligationRecord(obl, path, goal_kind, omitted=True, span=proof.pos)
                 return Derivation("omitted", obl, None, path, leaves=(leaf,), span=proof.pos)
             case By(facts, defs):
-                use = Step(
-                    BeginStepToken(0, None, pos=proof.pos),
-                    UseHideStep(facts, defs, hide=False),
-                )
+                token = BeginStepToken(0, None, pos=proof.pos)
+                use = UseHideStep(facts, defs, hide=False)
                 try:
-                    outcome = self._use_hide(use.token, use.body, obl, path)
+                    outcome = self._use_hide(token, use, obl, path)
                 except (MeaninglessError, MetaError) as err:
                     return self._error_node("by", obl, path, proof.pos, err)
                 kind = "by-goal" if goal_kind == "obvious-goal" else goal_kind
@@ -301,36 +299,41 @@ class _Checker:
                     "by", obl, None, path, children=(outcome.node,), leaves=(leaf,), span=proof.pos
                 )
             case NonLeaf(steps):
-                return self._sequence(list(steps), obl, path, suppress_neg)
+                return self._sequence(steps, obl, path, suppress_neg)
         raise TypeError(type(proof).__name__)
 
     def _sequence(
-        self, steps: list[Step], obl: Obligation, path: Path, suppress_neg: bool
+        self, steps: tuple[Step, ...], obl: Obligation, path: Path, suppress_neg: bool
     ) -> Derivation:
+        """One child per step, in order: each step refines the obligation
+        the next one starts from, and the QED step proves the last one."""
         if not steps:
             raise MeaninglessError("empty step sequence", path, obl)
-        step, rest = steps[0], steps[1:]
-        token = step.token
-        if isinstance(step.body, QedStep):
-            sub = self.check(step.body.proof, obl, path + (token.name,), False)
-            return Derivation(
-                "qed", obl, None, path + (token.name,), children=(sub,), span=step.pos
-            )
-        if not rest:
-            err = MeaninglessError(
-                f"step {token.name} is not QED but ends its sequence", path, obl
-            )
-            return self._error_node("step", obl, path + (token.name,), step.pos, err)
-        try:
-            outcome = self.transform(token, step.body, obl, path, suppress_neg)
-            nodes = (outcome.node,)
-            nxt = outcome.output
-        except (MeaninglessError, MetaError) as err:
-            nodes = (self._error_node("step", obl, path + (token.name,), step.pos, err),)
-            nxt = obl  # recovery: siblings continue with the unrefined obligation
-        rest_node = self._sequence(rest, nxt, path, suppress_neg)
+        nodes: list[Derivation] = []
+        cur = obl
+        for idx, step in enumerate(steps):
+            token = step.token
+            spath = path + (token.name,)
+            if isinstance(step.body, QedStep):
+                sub = self.check(step.body.proof, cur, spath, False)
+                nodes.append(Derivation("qed", cur, None, spath, children=(sub,), span=step.pos))
+                break
+            if idx == len(steps) - 1:
+                err = MeaninglessError(
+                    f"step {token.name} is not QED but ends its sequence", path, cur
+                )
+                nodes.append(self._error_node("step", cur, spath, step.pos, err))
+                break
+            try:
+                outcome = self.transform(token, step.body, cur, path, suppress_neg)
+            except (MeaninglessError, MetaError) as err:
+                # recovery: siblings continue with the unrefined obligation
+                nodes.append(self._error_node("step", cur, spath, step.pos, err))
+            else:
+                nodes.append(outcome.node)
+                cur = outcome.output
         return Derivation(
-            "step", obl, nxt, path + (token.name,), children=nodes + (rest_node,), span=step.pos
+            "sequence", obl, None, path, children=tuple(nodes), span=steps[0].pos
         )
 
     def _error_node(self, rule, obl, path, span, err) -> Derivation:

@@ -426,6 +426,19 @@ class TestCheckClaim:
         ).proof
         assert check_claim(proof, o) == check_claim(proof, o)
 
+    def test_long_flat_sequence_gives_every_leaf(self):
+        # neither the checker nor the leaf and error walks may recurse once
+        # per step of a sequence
+        n = 1200
+        text = (
+            "THEOREM ASSUME NEW P, P PROVE P\n"
+            + "".join(f"<1>{k}. P OBVIOUS\n" for k in range(1, n))
+            + f"<1>{n}. QED OBVIOUS\n"
+        )
+        checked = check_theorem(parse_theorem(text))
+        assert checked.meaningful
+        assert [r.path for r in checked.records] == [(f"<1>{k}",) for k in range(1, n + 1)]
+
 
 CANTOR_GOLDEN_TEXT = (
     "<1>1 == (NEW S, NEW f, f \\in [S -> SUBSET S] |- "
