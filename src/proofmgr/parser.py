@@ -128,9 +128,7 @@ class ProofStep(Node):
 
 
 class UseHideStep(ProofStep):
-    # synthetic: inserted by lowering, never parsed
-    __slots__ = ("facts", "defs", "hide", "synthetic")
-    _defaults = {"synthetic": False}
+    __slots__ = ("facts", "defs", "hide")
 
 
 class DefineStep(ProofStep):
@@ -191,8 +189,18 @@ KEYWORDS = {
     "HAVE", "PICK", "CASE", "QED", "TRUE", "FALSE", "SUBSET",
 }
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_STEP_RE = re.compile(r"<(\d+)>([A-Za-z0-9_]*)")
+# One alternative per token class, tried in this order at each offset; only
+# a blank can hold a newline.  A backslash word ends where identifiers end.
+_TOKEN_RE = re.compile(
+    r"(?P<blank>[ \t\r\n]+|\\\*[^\n]*)"
+    r"|(?P<symbol>\\(?:/|(?:A|E|in|notin|subseteq)(?![A-Za-z0-9_]))"
+    r"|<=>|==|=>|=|->|/\\|[#~(){}\[\]:,])"
+    r"|(?P<step><\d+>[A-Za-z0-9_]*\.?)"
+    r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<error>.)",
+    re.DOTALL,
+)
+_LEX_ERRORS = {"<": "malformed step token", "/": "stray '/'", "-": "stray '-'"}
 
 
 class Token(Node):
@@ -203,100 +211,44 @@ class Token(Node):
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-
-    def here() -> Pos:
-        return Pos(line, col)
-
-    def advance(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            advance(1)
+    line, start = 1, 0  # start: offset of the current line's first character
+    for m in _TOKEN_RE.finditer(text):
+        group, value, i = m.lastgroup, m.group(), m.start()
+        if group == "blank":
+            nl = value.rfind("\n")
+            if nl >= 0:
+                line += value.count("\n")
+                start = i + nl + 1
             continue
-        if c == "\\":
-            if text.startswith("\\*", i):
-                while i < n and text[i] != "\n":
-                    advance(1)
-                continue
-            if text.startswith("\\/", i):
-                tokens.append(Token("\\/", "\\/", here()))
-                advance(2)
-                continue
-            m = _IDENT_RE.match(text, i + 1)
-            if m and m.group(0) in ("A", "E", "in", "notin", "subseteq"):
-                word = "\\" + m.group(0)
-                tokens.append(Token(word, word, here()))
-                advance(len(word))
-                continue
-            raise ParseError(f"unknown escape {text[i:i+8]!r}", here())
-        if c == "<":
-            if text.startswith("<=>", i):
-                tokens.append(Token("<=>", "<=>", here()))
-                advance(3)
-                continue
-            m = _STEP_RE.match(text, i)
-            if not m:
-                raise ParseError("malformed step token", here())
-            name = f"<{m.group(1)}>{m.group(2)}"
-            end = m.end()
-            if end < n and text[end] == ".":
-                tokens.append(Token("STEPDOT", name, here()))
-                advance(end - i + 1)
-            else:
-                tokens.append(Token("STEPREF", name, here()))
-                advance(end - i)
-            continue
-        if c == "/":
-            if text.startswith("/\\", i):
-                tokens.append(Token("/\\", "/\\", here()))
-                advance(2)
-                continue
-            raise ParseError("stray '/'", here())
-        if c == "=":
-            for sym in ("==", "=>", "="):
-                if text.startswith(sym, i):
-                    tokens.append(Token(sym, sym, here()))
-                    advance(len(sym))
-                    break
-            continue
-        if c == "-":
-            if text.startswith("->", i):
-                tokens.append(Token("->", "->", here()))
-                advance(2)
-                continue
-            raise ParseError("stray '-'", here())
-        if c in "#~(){}[]:,":
-            tokens.append(Token(c, c, here()))
-            advance(1)
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            word = m.group(0)
-            kind = word if word in KEYWORDS else "IDENT"
-            tokens.append(Token(kind, word, here()))
-            advance(len(word))
-            continue
-        raise ParseError(f"unexpected character {c!r}", here())
-    tokens.append(Token("EOF", "", Pos(line, col)))
+        pos = Pos(line, i - start + 1)
+        if group == "symbol":
+            kind = value
+        elif group == "step":
+            kind = "STEPDOT" if value[-1] == "." else "STEPREF"
+            value = value.rstrip(".")
+        elif group == "word":
+            kind = value if value in KEYWORDS else "IDENT"
+        elif value == "\\":
+            raise ParseError(f"unknown escape {text[i:i + 8]!r}", pos)
+        else:
+            raise ParseError(_LEX_ERRORS.get(value, f"unexpected character {value!r}"), pos)
+        tokens.append(Token(kind, value, pos))
+    tokens.append(Token("EOF", "", Pos(line, len(text) - start + 1)))
     return tokens
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
-_REL_OPS = {"=", "#", "\\in", "\\notin", "\\subseteq"}
+_REL_OPS = {"=": Eq, "#": Ne, "\\in": In, "\\notin": NotIn, "\\subseteq": Subseteq}
+# binary connectives from the loosest to the tightest; all but => associate
+# to the left
+_BINARY = (("<=>", Iff), ("=>", Implies), ("\\/", Or), ("/\\", And))
+
+
+def _level(t: Token) -> int:
+    """The level number of a step token."""
+    return int(t.value[1 : t.value.index(">")])
 
 
 class _Parser:
@@ -314,89 +266,69 @@ class _Parser:
             self.i += 1
         return t
 
-    def expect(self, kind: str) -> Token:
+    def fail(self, expected: str) -> ParseError:
         t = self.peek()
-        if t.kind != kind:
-            raise ParseError(
-                f"unexpected {t.value or t.kind!r}", t.pos, expected=frozenset({kind})
-            )
+        return ParseError(
+            f"unexpected {t.value or t.kind!r}", t.pos, expected=frozenset({expected})
+        )
+
+    def expect(self, kind: str) -> Token:
+        if self.peek().kind != kind:
+            raise self.fail(kind)
         return self.next()
 
     def at(self, *kinds: str) -> bool:
         return self.peek().kind in kinds
 
+    def comma_list(self, item) -> tuple:
+        items = [item()]
+        while self.at(","):
+            self.next()
+            items.append(item())
+        return tuple(items)
+
+    def ident(self) -> str:
+        return self.expect("IDENT").value
+
+    def finish(self, result):
+        """The result of a parse that must consume all the input."""
+        t = self.peek()
+        if t.kind != "EOF":
+            raise ParseError(f"trailing input {t.value!r}", t.pos)
+        return result
+
     # -- expressions --------------------------------------------------------
 
-    def expr(self) -> Expr:
-        if self.at("\\A", "\\E"):
+    def expr(self, level: int = 0) -> Expr:
+        """An expression whose top binary connective, if any, is one of
+        _BINARY[level:]; only level 0 starts with a quantifier."""
+        if level == 0 and self.at("\\A", "\\E"):
             return self.quantified()
-        return self.iff()
+        op, make = _BINARY[level]
+        tightest = level == len(_BINARY) - 1
+        left = self.negation() if tightest else self.expr(level + 1)
+        while self.at(op):
+            t = self.next()
+            if self.at("\\A", "\\E"):  # a quantifier operand eats the rest
+                return make(left, self.quantified(), pos=t.pos)
+            if op == "=>":  # right-associative
+                return make(left, self.expr(level), pos=t.pos)
+            left = make(left, self.negation() if tightest else self.expr(level + 1), pos=t.pos)
+        return left
 
     def quantified(self) -> Expr:
         t = self.next()
         kind = "forall" if t.kind == "\\A" else "exists"
-        binders = self.binder_list()
+        binders = self.comma_list(self.binder)
         self.expect(":")
-        body = self.expr()
-        return Quant(kind, binders, body, pos=t.pos)
-
-    def binder_list(self) -> tuple[Binder, ...]:
-        binders = [self.binder()]
-        while self.at(","):
-            self.next()
-            binders.append(self.binder())
-        return tuple(binders)
+        return Quant(kind, binders, self.expr(), pos=t.pos)
 
     def binder(self) -> Binder:
-        name = self.expect("IDENT").value
+        name = self.ident()
         if self.at("\\in"):
             self.next()
             return Binder(name, self.set_term())
         return Binder(name)
-
-    def _rhs(self, sub) -> tuple[Expr, bool]:
-        """Operand of a binary operator; a quantifier eats the rest."""
-        if self.at("\\A", "\\E"):
-            return self.quantified(), True
-        return sub(), False
-
-    def iff(self) -> Expr:
-        left = self.impl()
-        while self.at("<=>"):
-            t = self.next()
-            right, final = self._rhs(self.impl)
-            left = Iff(left, right, pos=t.pos)
-            if final:
-                break
-        return left
-
-    def impl(self) -> Expr:
-        left = self.disj()
-        if self.at("=>"):
-            t = self.next()
-            right, _ = self._rhs(self.impl)  # right-associative
-            return Implies(left, right, pos=t.pos)
-        return left
-
-    def disj(self) -> Expr:
-        left = self.conj()
-        while self.at("\\/"):
-            t = self.next()
-            right, final = self._rhs(self.conj)
-            left = Or(left, right, pos=t.pos)
-            if final:
-                break
-        return left
-
-    def conj(self) -> Expr:
-        left = self.negation()
-        while self.at("/\\"):
-            t = self.next()
-            right, final = self._rhs(self.negation)
-            left = And(left, right, pos=t.pos)
-            if final:
-                break
-        return left
 
     def negation(self) -> Expr:
         if self.at("~"):
@@ -409,18 +341,7 @@ class _Parser:
         t = self.peek()
         if t.kind in _REL_OPS:
             self.next()
-            right = self.set_term()
-            match t.kind:
-                case "=":
-                    return Eq(left, right, pos=t.pos)
-                case "#":
-                    return Ne(left, right, pos=t.pos)
-                case "\\in":
-                    return In(left, right, pos=t.pos)
-                case "\\notin":
-                    return NotIn(left, right, pos=t.pos)
-                case _:
-                    return Subseteq(left, right, pos=t.pos)
+            return _REL_OPS[t.kind](left, self.set_term(), pos=t.pos)
         return left
 
     def set_term(self) -> Expr:
@@ -445,12 +366,9 @@ class _Parser:
                 self.next()
                 if self.at("("):
                     self.next()
-                    args = [self.expr()]
-                    while self.at(","):
-                        self.next()
-                        args.append(self.expr())
+                    args = self.comma_list(self.expr)
                     self.expect(")")
-                    return OpApp(t.value, tuple(args), pos=t.pos)
+                    return OpApp(t.value, args, pos=t.pos)
                 return Ident(t.value, pos=t.pos)
             case "STEPREF":
                 self.next()
@@ -475,11 +393,7 @@ class _Parser:
             case "\\A" | "\\E":
                 return self.quantified()
             case _:
-                raise ParseError(
-                    f"unexpected {t.value or t.kind!r}",
-                    t.pos,
-                    expected=frozenset({"expression"}),
-                )
+                raise self.fail("expression")
 
     def set_display(self) -> Expr:
         t = self.expect("{")
@@ -496,7 +410,7 @@ class _Parser:
             return SetComp(var, domain, pred, pos=t.pos)
         expr = self.expr()
         self.expect(":")
-        var = self.expect("IDENT").value
+        var = self.ident()
         self.expect("\\in")
         domain = self.set_term()
         self.expect("}")
@@ -511,31 +425,21 @@ class _Parser:
             name = self.next().value
             self.next()
         goal_form = self.goal_form()
-        proof = self.proof(min_level=0)
-        t = self.peek()
-        if t.kind != "EOF":
-            raise ParseError(f"trailing input {t.value!r}", t.pos)
-        return Theorem(name, goal_form, proof)
+        return Theorem(name, goal_form, self.proof(min_level=0))
 
     def goal_form(self) -> GoalForm:
+        items: tuple[AssumeItem, ...] = ()
         if self.at("ASSUME"):
             self.next()
-            items = [self.assume_item()]
-            while self.at(","):
-                self.next()
-                items.append(self.assume_item())
+            items = self.comma_list(self.assume_item)
             self.expect("PROVE")
-            return GoalForm(tuple(items), self.expr())
-        return GoalForm((), self.expr())
+        return GoalForm(items, self.expr())
 
     def assume_item(self) -> AssumeItem:
         if self.at("NEW"):
             self.next()
-            name = self.expect("IDENT").value
-            if self.at("\\in"):
-                self.next()
-                return NewItem(name, self.set_term())
-            return NewItem(name)
+            b = self.binder()
+            return NewItem(b.name, b.domain)
         return FactItem(self.expr())
 
     def proof(self, min_level: int) -> Proof:
@@ -554,37 +458,23 @@ class _Parser:
                 self.next()
                 facts, defs = self.fact_list()
                 return By(facts, defs, pos=t.pos)
-            case "STEPDOT":
-                level = _STEP_RE.match(t.value).group(1)  # type: ignore[union-attr]
-                if int(level) <= min_level:
-                    return Omitted(implicit=True, pos=t.pos)
+            case "STEPDOT" if _level(t) > min_level:
                 return self.step_sequence()
             case _:
                 return Omitted(implicit=True, pos=t.pos)
 
     def fact_list(self) -> tuple[tuple[Expr, ...], tuple[str, ...]]:
-        facts: list[Expr] = []
-        defs: list[str] = []
-        if not self.at("DEF"):
-            facts.append(self.expr())
-            while self.at(","):
-                self.next()
-                facts.append(self.expr())
+        facts = () if self.at("DEF") else self.comma_list(self.expr)
+        defs = ()
         if self.at("DEF"):
             self.next()
-            defs.append(self.def_name())
-            while self.at(","):
-                self.next()
-                defs.append(self.def_name())
-        return tuple(facts), tuple(defs)
+            defs = self.comma_list(self.def_name)
+        return facts, defs
 
     def def_name(self) -> str:
-        t = self.peek()
-        if t.kind in ("IDENT", "STEPREF"):
+        if self.at("IDENT", "STEPREF"):
             return self.next().value
-        raise ParseError(
-            f"unexpected {t.value or t.kind!r}", t.pos, expected=frozenset({"name"})
-        )
+        raise self.fail("name")
 
     def witness_item(self) -> WitnessItem:
         # a top-level membership names the witness and its set
@@ -593,30 +483,23 @@ class _Parser:
             return WitnessItem(e.item, e.set)
         return WitnessItem(e)
 
-    def step_token(self) -> BeginStepToken:
-        t = self.expect("STEPDOT")
-        m = _STEP_RE.match(t.value)
-        assert m is not None
-        return BeginStepToken(int(m.group(1)), m.group(2) or None, pos=t.pos)
-
     def step_sequence(self) -> NonLeaf:
-        first = self.peek()
-        level = int(_STEP_RE.match(first.value).group(1))  # type: ignore[union-attr]
+        level = _level(self.peek())
         steps: list[Step] = []
         seen: set[str] = set()
         qed_seen = False
         while self.at("STEPDOT"):
             t = self.peek()
-            tok_level = int(_STEP_RE.match(t.value).group(1))  # type: ignore[union-attr]
-            if tok_level < level:
+            if _level(t) < level:
                 break
-            if tok_level > level:
+            if _level(t) > level:
                 raise LevelError(
                     f"step {t.value} is deeper than its sequence (level {level})", t.pos
                 )
             if qed_seen:
                 raise LevelError(f"step {t.value} appears after QED", t.pos)
-            token = self.step_token()
+            self.next()
+            token = BeginStepToken(level, t.value.partition(">")[2] or None, pos=t.pos)
             if token.label is not None:
                 if token.name in seen:
                     raise ParseError(f"duplicate step token {token.name}", token.pos)
@@ -637,86 +520,59 @@ class _Parser:
         match t.kind:
             case "USE" | "HIDE":
                 self.next()
-                facts, defs = self.fact_list()
-                self._forbid_subproof(token)
-                return UseHideStep(facts, defs, hide=t.kind == "HIDE")
+                body: ProofStep = UseHideStep(*self.fact_list(), hide=t.kind == "HIDE")
             case "DEFINE":
                 self.next()
-                name = self.expect("IDENT").value
+                name = self.ident()
                 params: tuple[str, ...] = ()
                 if self.at("("):
                     self.next()
-                    names = [self.expect("IDENT").value]
-                    while self.at(","):
-                        self.next()
-                        names.append(self.expect("IDENT").value)
+                    params = self.comma_list(self.ident)
                     self.expect(")")
-                    params = tuple(names)
                 self.expect("==")
-                body = self.expr()
-                self._forbid_subproof(token)
-                return DefineStep(name, params, body)
+                body = DefineStep(name, params, self.expr())
             case "HAVE":
                 self.next()
-                e = self.expr()
-                self._forbid_subproof(token)
-                return HaveStep(e)
+                body = HaveStep(self.expr())
             case "TAKE":
                 self.next()
-                binders = self.binder_list()
-                self._forbid_subproof(token)
-                return TakeStep(binders)
+                body = TakeStep(self.comma_list(self.binder))
             case "WITNESS":
                 self.next()
-                items = [self.witness_item()]
-                while self.at(","):
-                    self.next()
-                    items.append(self.witness_item())
-                self._forbid_subproof(token)
-                return WitnessStep(tuple(items))
+                body = WitnessStep(self.comma_list(self.witness_item))
             case "SUFFICES":
                 self.next()
-                gf = self.goal_form()
-                return SufficesStep(gf, self.proof(token.level))
+                return SufficesStep(self.goal_form(), self.proof(token.level))
             case "PICK":
                 self.next()
-                binders = self.binder_list()
+                binders = self.comma_list(self.binder)
                 self.expect(":")
-                body = self.expr()
-                return PickStep(binders, body, self.proof(token.level))
+                return PickStep(binders, self.expr(), self.proof(token.level))
             case "CASE":
                 self.next()
-                e = self.expr()
-                return CaseStep(e, self.proof(token.level))
+                return CaseStep(self.expr(), self.proof(token.level))
             case "QED":
                 self.next()
                 return QedStep(self.proof(token.level))
             case _:
-                gf = self.goal_form()
-                return AssertStep(gf, self.proof(token.level))
-
-    def _forbid_subproof(self, token: BeginStepToken) -> None:
+                return AssertStep(self.goal_form(), self.proof(token.level))
+        # a step that takes no subproof
         t = self.peek()
-        if t.kind == "STEPDOT":
-            level = int(_STEP_RE.match(t.value).group(1))  # type: ignore[union-attr]
-            if level > token.level:
-                raise LevelError(
-                    f"step {token.name} takes no subproof but is followed by {t.value}",
-                    t.pos,
-                )
+        if t.kind == "STEPDOT" and _level(t) > token.level:
+            raise LevelError(
+                f"step {token.name} takes no subproof but is followed by {t.value}", t.pos
+            )
+        return body
 
 
 def parse_theorem(text: str) -> Theorem:
-    return _Parser(tokenize(text)).theorem()
+    p = _Parser(tokenize(text))
+    return p.finish(p.theorem())
 
 
 def parse_expression(text: str) -> Expr:
     p = _Parser(tokenize(text))
-    e = p.expr()
-    t = p.peek()
-    if t.kind != "EOF":
-        raise ParseError(f"trailing input {t.value!r}", t.pos)
-    return e
+    return p.finish(p.expr())
 
 
 def validate_levels(proof: Proof, min_level: int = 0) -> None:

@@ -333,8 +333,8 @@ RECORDS = [
     (P.By, ("facts", "defs"), ((_X,), ("D",)), "By(facts=(Ident(name='x'),), defs=('D',))"),
     (P.NonLeaf, ("steps",), ((),), "NonLeaf(steps=())"),
     (P.ProofStep, (), (), "ProofStep()"),
-    (P.UseHideStep, ("facts", "defs", "hide", "synthetic"), ((_X,), ("D",), True, False),
-     "UseHideStep(facts=(Ident(name='x'),), defs=('D',), hide=True, synthetic=False)"),
+    (P.UseHideStep, ("facts", "defs", "hide"), ((_X,), ("D",), True),
+     "UseHideStep(facts=(Ident(name='x'),), defs=('D',), hide=True)"),
     (P.DefineStep, ("name", "params", "body"), ("D", ("p",), _X),
      "DefineStep(name='D', params=('p',), body=Ident(name='x'))"),
     (P.HaveStep, ("expr",), (_X,), "HaveStep(expr=Ident(name='x'))"),
