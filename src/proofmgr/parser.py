@@ -424,8 +424,7 @@ class _Parser:
         if self.at("IDENT") and self.peek(1).kind == "==":
             name = self.next().value
             self.next()
-        goal_form = self.goal_form()
-        return Theorem(name, goal_form, self.proof(min_level=0))
+        return Theorem(name, self.goal_form(), self.proof(min_level=0))
 
     def goal_form(self) -> GoalForm:
         items: tuple[AssumeItem, ...] = ()
@@ -456,8 +455,7 @@ class _Parser:
                 return Omitted(pos=t.pos)
             case "BY":
                 self.next()
-                facts, defs = self.fact_list()
-                return By(facts, defs, pos=t.pos)
+                return By(*self.fact_list(), pos=t.pos)
             case "STEPDOT" if _level(t) > min_level:
                 return self.step_sequence()
             case _:
@@ -490,9 +488,10 @@ class _Parser:
         qed_seen = False
         while self.at("STEPDOT"):
             t = self.peek()
-            if _level(t) < level:
+            tok_level = _level(t)
+            if tok_level < level:
                 break
-            if _level(t) > level:
+            if tok_level > level:
                 raise LevelError(
                     f"step {t.value} is deeper than its sequence (level {level})", t.pos
                 )
