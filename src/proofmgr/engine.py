@@ -3,7 +3,9 @@
 A claim (a proof against an obligation) is checked by recursively refining
 the obligation through each proof step.  Each step either matches the shape
 of exactly one rule, producing an output obligation, side leaf obligations
-and subclaims, or the claim is meaningless at that step.
+and subclaims, or the claim is meaningless at that step.  A step is one
+derivation node: a step over a list (USE and HIDE facts, TAKE binders,
+WITNESS items) walks it with a loop and holds its side leaves in item order.
 
 Named assertion steps bind their label as an operator whose definable is the
 asserted obligation, and the fact of the label is added hidden; the subproof
@@ -79,6 +81,7 @@ from .syntax import (
     free_identifiers,
     fresh_name,
     pretty,
+    split_binder,
     subst_many,
     substitute,
 )
@@ -218,26 +221,20 @@ def expand_for_matching(o: Obligation) -> Obligation:
     return Obligation(o.context, goal)
 
 
-def _peel(q: Quant, replacement: Expr) -> Expr:
-    first = q.binders[0]
-    rest = q.binders[1:]
-    inner: Expr = q.body if not rest else Quant(q.kind, rest, q.body)
-    return substitute(inner, first.name, replacement)
-
-
 def _require_closed(
-    e: Union[Expr, Obligation], ctx: Obligation, what: str, path: Path, local=()
+    e: Union[Expr, Obligation], binds: set[str], what: str, path: Path, obl: Obligation
 ) -> None:
-    """A step may only mention names the context binds, or local ones (its
-    own binders); anything else would leak an unbound identifier into a leaf
-    obligation.  e is an expression or an obligation."""
+    """A step may only mention the names bound in its context (binds, read
+    once per step), or local ones (its own binders, which the caller adds);
+    anything else would leak an unbound identifier into a leaf obligation.
+    e is an expression or an obligation."""
     free = e.free if isinstance(e, Obligation) else free_identifiers(e)
-    loose = free - context_binds(ctx.context) - set(local)
+    loose = free - binds
     if loose:
         raise MeaninglessError(
             f"{what} mentions {', '.join(sorted(loose))}, not bound in the context",
             path,
-            ctx,
+            obl,
         )
 
 
@@ -362,9 +359,9 @@ class _Checker:
             case HaveStep(g):
                 return self._have(g, obl, spath)
             case TakeStep(binders):
-                return self._take(binders, obl, spath)
+                return self._instantiate("TAKE", binders, obl, spath)
             case WitnessStep(items):
-                return self._witness(items, obl, spath)
+                return self._instantiate("WITNESS", items, obl, spath)
             case AssertStep(gf, proof):
                 return self._assert(token, gf, proof, obl, path, suppress_neg)
             case CaseStep(g, proof):
@@ -379,6 +376,9 @@ class _Checker:
         raise TypeError(type(body).__name__)
 
     def _use_hide(self, token, body: UseHideStep, obl, path) -> StepOutcome:
+        """USE appends the cited facts in order, each with a side leaf that
+        proves it from the context before it with every assumption shown;
+        HIDE hides, for each cited fact, the last usable fact equal to it."""
         # the internal <0> token of an elaborated BY does not appear in paths
         spath = path + (token.name,) if token.level > 0 else path
         known = {h.name for h in obl.context if isinstance(h, Def)}
@@ -387,66 +387,41 @@ class _Checker:
                 self.warnings.append(
                     f"{'.'.join(spath)}: no definition named {name} in the context"
                 )
-        if not body.hide:
-            ctx = using_defs(obl.context, body.defs, self.twins)
-            start = Obligation(ctx, obl.goal)
-            rule = "use-defs" if body.defs else "use"
-            inner, output = self._use_fold(list(body.facts), start, spath)
-            if body.defs:
-                node = Derivation(rule, obl, output, spath, children=(inner,), span=token.pos)
-            else:
-                node = inner
-            return StepOutcome(output, node)
-        inner, mid = self._hide_fold(list(body.facts), obl, spath)
-        output = Obligation(hiding_defs(mid.context, body.defs, self.twins), mid.goal)
-        if body.defs:
-            node = Derivation("hide-defs", obl, output, spath, children=(inner,), span=token.pos)
+        leaves: list[LeafObligationRecord] = []
+        if body.hide:
+            hidden = list(obl.context)
+            for cited in body.facts:
+                for k in range(len(hidden) - 1, -1, -1):
+                    h = hidden[k]
+                    if (
+                        isinstance(h, Fact)
+                        and not h.hidden
+                        and not h.obligation.context
+                        and alpha_equal(h.obligation.goal, cited)
+                    ):
+                        hidden[k] = twin(h, self.twins)
+                        break
+                else:
+                    raise UnknownFact(f"no usable fact {pretty(cited)} to hide")
+            ctx = hiding_defs(tuple(hidden), body.defs, self.twins)
         else:
-            node = inner
+            ctx = using_defs(obl.context, body.defs, self.twins)
+            binds = context_binds(ctx)
+            for cited in body.facts:
+                _require_closed(cited, binds, "cited fact", spath, obl)
+                side = Obligation(unhide(ctx, self.twins), cited)
+                leaves.append(LeafObligationRecord(side, spath, "use-fact-side"))
+                ctx += (fact(cited),)
+        rule = ("hide" if body.hide else "use") + ("-defs" if body.defs else "")
+        output = Obligation(ctx, obl.goal)
+        node = Derivation(rule, obl, output, spath, leaves=tuple(leaves), span=token.pos)
         return StepOutcome(output, node)
 
-    def _use_fold(self, facts, obl, spath) -> tuple[Derivation, Obligation]:
-        if not facts:
-            return Derivation("use-nil", obl, obl, spath), obl
-        inner, mid = self._use_fold(facts[:-1], obl, spath)
-        cited = facts[-1]
-        _require_closed(cited, mid, "cited fact", spath)
-        side = Obligation(unhide(mid.context, self.twins), cited)
-        leaf = LeafObligationRecord(side, spath, "use-fact-side")
-        output = Obligation(mid.context + (fact(cited),), mid.goal)
-        node = Derivation(
-            "use", obl, output, spath, children=(inner,), leaves=(leaf,)
-        )
-        return node, output
-
-    def _hide_fold(self, facts, obl, spath) -> tuple[Derivation, Obligation]:
-        if not facts:
-            return Derivation("hide-nil", obl, obl, spath), obl
-        inner, mid = self._hide_fold(facts[:-1], obl, spath)
-        cited = facts[-1]
-        idx = None
-        for k in range(len(mid.context) - 1, -1, -1):
-            h = mid.context[k]
-            if (
-                isinstance(h, Fact)
-                and not h.hidden
-                and not h.obligation.context
-                and alpha_equal(h.obligation.goal, cited)
-            ):
-                idx = k
-                break
-        if idx is None:
-            raise UnknownFact(f"no usable fact {pretty(cited)} to hide")
-        ctx = list(mid.context)
-        ctx[idx] = twin(mid.context[idx], self.twins)  # type: ignore[arg-type]
-        output = Obligation(tuple(ctx), mid.goal)
-        node = Derivation("hide", obl, output, spath, children=(inner,))
-        return node, output
-
     def _define(self, token, body: DefineStep, obl, spath) -> StepOutcome:
-        if body.name in context_binds(obl.context):
+        binds = context_binds(obl.context)
+        if body.name in binds:
             raise DuplicateName(f"{body.name} is already bound in the context")
-        _require_closed(body.body, obl, "definition body", spath, body.params)
+        _require_closed(body.body, binds | set(body.params), "definition body", spath, obl)
         definable: Union[Obligation, Lambda]
         if body.params:
             definable = Lambda(body.params, body.body)
@@ -461,16 +436,14 @@ class _Checker:
         # proof-local definitions are usable by default: lower to an
         # immediate synthetic USE DEF of the new name
         used = Obligation(using_defs(output.context, (body.name,), self.twins), output.goal)
-        use_node = Derivation("use-defs", output, used, spath, children=(
-            Derivation("use-nil", used, used, spath),
-        ))
+        use_node = Derivation("use-defs", output, used, spath)
         wrapper = Derivation(
             "define", obl, used, spath, children=(node, use_node), span=token.pos
         )
         return StepOutcome(used, wrapper)
 
     def _have(self, g: Expr, obl, spath) -> StepOutcome:
-        _require_closed(g, obl, "HAVE fact", spath)
+        _require_closed(g, context_binds(obl.context), "HAVE fact", spath, obl)
         matched = expand_for_matching(obl)
         if not isinstance(matched.goal, Implies):
             raise MeaninglessError(
@@ -485,81 +458,60 @@ class _Checker:
         node = Derivation("have", obl, output, spath, leaves=(leaf,))
         return StepOutcome(output, node)
 
-    def _take(self, binders, obl, spath) -> StepOutcome:
-        if not binders:
-            return StepOutcome(obl, Derivation("take-nil", obl, obl, spath))
-        b, rest = binders[0], binders[1:]
-        if b.domain is not None:
-            _require_closed(b.domain, obl, "TAKE bound", spath)
-        matched = expand_for_matching(obl)
-        goal = matched.goal
-        if not (isinstance(goal, Quant) and goal.kind == "forall"):
-            raise MeaninglessError(
-                f"TAKE requires a universally quantified goal, got {pretty(obl.goal)}",
-                spath,
-                obl,
-            )
-        first = goal.binders[0]
-        if (b.domain is None) != (first.domain is None):
-            want = "bounded" if b.domain is not None else "unbounded"
-            raise MeaninglessError(
-                f"TAKE {b.name} is {want} but the goal binder is not", spath, obl
-            )
-        taken = context_binds(obl.context) | obligation_free_identifiers(obl)
-        name = fresh_name(b.name, taken)
-        leaves: tuple[LeafObligationRecord, ...] = ()
-        if b.domain is None:
-            ctx = obl.context + (New(name),)
-        else:
-            side = Obligation(obl.context, Subseteq(first.domain, b.domain))
-            leaves = (LeafObligationRecord(side, spath, "take-subset-side"),)
-            ctx = obl.context + (New(name), fact(In(Ident(name), b.domain)))
-        mid = Obligation(ctx, _peel(goal, Ident(name)))
-        inner = self._take(rest, mid, spath)
-        node = Derivation(
-            "take", obl, inner.output, spath, children=(inner.node,), leaves=leaves
-        )
-        return StepOutcome(inner.output, node)
-
-    def _witness(self, items, obl, spath) -> StepOutcome:
-        if not items:
-            return StepOutcome(obl, Derivation("witness-nil", obl, obl, spath))
-        w, rest = items[0], items[1:]
-        _require_closed(w.expr, obl, "witness", spath)
-        if w.domain is not None:
-            _require_closed(w.domain, obl, "witness bound", spath)
-        matched = expand_for_matching(obl)
-        goal = matched.goal
-        if not (isinstance(goal, Quant) and goal.kind == "exists"):
-            raise MeaninglessError(
-                f"WITNESS requires an existentially quantified goal, got {pretty(obl.goal)}",
-                spath,
-                obl,
-            )
-        first = goal.binders[0]
-        if (w.domain is None) != (first.domain is None):
-            want = "bounded" if w.domain is not None else "unbounded"
-            raise MeaninglessError(
-                f"WITNESS {pretty(w.expr)} is {want} but the goal binder is not",
-                spath,
-                obl,
-            )
-        leaves: tuple[LeafObligationRecord, ...] = ()
-        ctx = obl.context
-        if w.domain is not None:
-            subset = Obligation(obl.context, Subseteq(w.domain, first.domain))
-            member = Obligation(obl.context, In(w.expr, w.domain))
-            leaves = (
-                LeafObligationRecord(subset, spath, "witness-subset-side"),
-                LeafObligationRecord(member, spath, "witness-membership-side"),
-            )
-            ctx = ctx + (fact(In(w.expr, w.domain)),)
-        mid = Obligation(ctx, _peel(goal, w.expr))
-        inner = self._witness(rest, mid, spath)
-        node = Derivation(
-            "witness", obl, inner.output, spath, children=(inner.node,), leaves=leaves
-        )
-        return StepOutcome(inner.output, node)
+    def _instantiate(self, step: str, items, obl, spath) -> StepOutcome:
+        """TAKE (binders, against a universal goal) or WITNESS (witnesses,
+        against an existential one): each item in turn takes the place of
+        the first binder of the goal, expanded just far enough to show its
+        quantifier.  A bounded item adds its side leaves, in item order."""
+        take = step == "TAKE"
+        kind = "forall" if take else "exists"
+        binds = context_binds(obl.context)
+        taken = binds | obligation_free_identifiers(obl)
+        ctx, goal = obl.context, obl.goal
+        leaves: list[LeafObligationRecord] = []
+        for item in items:
+            cur = Obligation(ctx, goal)
+            if not take:
+                _require_closed(item.expr, binds, "witness", spath, cur)
+            dom = item.domain
+            if dom is not None:
+                _require_closed(dom, binds, "TAKE bound" if take else "witness bound", spath, cur)
+            matched = expand_for_matching(cur).goal
+            if not (isinstance(matched, Quant) and matched.kind == kind):
+                which = "a universally" if take else "an existentially"
+                raise MeaninglessError(
+                    f"{step} requires {which} quantified goal, got {pretty(goal)}", spath, cur
+                )
+            first, rest = split_binder(matched)
+            if (dom is None) != (first.domain is None):
+                want = "bounded" if dom is not None else "unbounded"
+                what = item.name if take else pretty(item.expr)
+                raise MeaninglessError(
+                    f"{step} {what} is {want} but the goal binder is not", spath, cur
+                )
+            if take:
+                name = fresh_name(item.name, taken)
+                taken.add(name)
+                binds.add(name)
+                term: Expr = Ident(name)
+                added: tuple = (New(name),)
+            else:
+                term, added = item.expr, ()
+            if dom is not None:
+                if take:
+                    side = Obligation(ctx, Subseteq(first.domain, dom))
+                    leaves.append(LeafObligationRecord(side, spath, "take-subset-side"))
+                else:
+                    subset = Obligation(ctx, Subseteq(dom, first.domain))
+                    member = Obligation(ctx, In(term, dom))
+                    leaves.append(LeafObligationRecord(subset, spath, "witness-subset-side"))
+                    leaves.append(LeafObligationRecord(member, spath, "witness-membership-side"))
+                added += (fact(In(term, dom)),)
+            ctx += added
+            goal = substitute(rest, first.name, term)
+        output = Obligation(ctx, goal)
+        node = Derivation(step.lower(), obl, output, spath, leaves=tuple(leaves))
+        return StepOutcome(output, node)
 
     def _assert(
         self, token, gf: GoalForm, proof, obl, path, suppress_neg, rule="assert"
@@ -572,9 +524,9 @@ class _Checker:
         spath = path + (token.name,)
         alpha = goal_form_obligation(gf)
         what = "SUFFICES claim" if rule == "suffices" else "asserted claim"
-        _require_closed(alpha, obl, what, spath)
-        neg: tuple = () if suppress_neg else (fact(Neg(obl.goal), hidden=True),)
         binds = context_binds(obl.context)
+        _require_closed(alpha, binds, what, spath, obl)
+        neg: tuple = () if suppress_neg else (fact(Neg(obl.goal), hidden=True),)
         defined: tuple = ()
         assumed: tuple = (Fact(alpha),)
         if token.label is not None:
@@ -594,25 +546,26 @@ class _Checker:
         return StepOutcome(output, node)
 
     def _pick(self, token, binders, pbody, proof, obl, path) -> StepOutcome:
+        """PICK proves inside that its binders exist; after the step they
+        are declared, renamed apart from the context, with their domains
+        (read in the context) and the body as facts."""
         spath = path + (token.name,)
+        binds = context_binds(obl.context)
         for b in binders:
             if b.domain is not None:
-                _require_closed(b.domain, obl, "PICK bound", spath)
-        _require_closed(pbody, obl, "PICK body", spath, [b.name for b in binders])
+                _require_closed(b.domain, binds, "PICK bound", spath, obl)
+        _require_closed(pbody, binds | {b.name for b in binders}, "PICK body", spath, obl)
         existence = Obligation(obl.context, Quant("exists", tuple(binders), pbody))
         sub = self.check(proof, existence, spath, False, goal_kind="pick-existence")
-        taken = context_binds(obl.context) | obligation_free_identifiers(obl)
+        taken = binds | obligation_free_identifiers(obl)
         mapping: dict[str, Expr] = {}
         renamed: list[Binder] = []
         for b in binders:
-            dom = b.domain
-            if dom is not None and mapping:
-                dom = subst_many(dom, mapping)
-            fresh = fresh_name(b.name, taken) if b.name in taken else b.name
+            fresh = fresh_name(b.name, taken)
             if fresh != b.name:
                 mapping[b.name] = Ident(fresh)
             taken.add(fresh)
-            renamed.append(Binder(fresh, dom))
+            renamed.append(Binder(fresh, b.domain))
         body = subst_many(pbody, mapping) if mapping else pbody
         output = Obligation(
             obl.context + reflect_binders(renamed) + (fact(body),), obl.goal

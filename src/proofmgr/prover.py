@@ -162,15 +162,13 @@ def normalize(e: Expr) -> Expr:
         case s.NotIn(i, st):
             return Neg(s.In(normalize(i), normalize(st)))
         case Quant(kind, binders, body):
+            binders, body = s.nest_binders(e)
             out = normalize(body)
             for b in reversed(binders):
-                dom = normalize(b.domain) if b.domain is not None else None
-                if dom is None:
-                    out = Quant(kind, (Binder(b.name, None),), out)
-                elif kind == "forall":
-                    out = Quant(kind, (Binder(b.name, None),), s.Implies(s.In(Ident(b.name), dom), out))
-                else:
-                    out = Quant(kind, (Binder(b.name, None),), s.And(s.In(Ident(b.name), dom), out))
+                if b.domain is not None:
+                    guard = s.In(Ident(b.name), normalize(b.domain))
+                    out = s.Implies(guard, out) if kind == "forall" else s.And(guard, out)
+                out = Quant(kind, (Binder(b.name, None),), out)
         case _:
             out = map_children(e, normalize)
     return e if out == e else out

@@ -14,8 +14,9 @@ pickles (and copies) as its class and fields only: the cached hash,
 rendering and free names are recomputed wherever the node is loaded.
 
 Scoping: quantifiers, set comprehensions and image sets bind their binder
-names in their body only; binder domains are scoped to the enclosing context
-(a domain must not reference a sibling binder of the same construct).
+names in their body only; binder domains are scoped to the enclosing context,
+so a domain that names a sibling binder reads that name from the context
+(``split_binder`` keeps this when a quantifier is taken apart).
 """
 
 from __future__ import annotations
@@ -500,6 +501,33 @@ def _rebind(
         else:
             new_binders.append((name, new_dom))
     return new_binders, body_map
+
+
+def split_binder(q: Quant) -> tuple[Binder, Expr]:
+    """q's first binder and what it binds: q's body, or q over its other
+    binders.  Every domain of q is scoped outside q, so when one (the
+    binder's own included) mentions the first binder's name, that binder is
+    renamed apart in the body; the domains can then go under it."""
+    first, rest = q.binders[0], q.binders[1:]
+    body = q.body
+    if any(b.domain is not None and first.name in free_identifiers(b.domain) for b in q.binders):
+        names = {b.name for b in rest}
+        fresh = fresh_name(first.name, free_identifiers(q) | names)
+        if first.name not in names:
+            body = substitute(body, first.name, Ident(fresh))
+        first = Binder(fresh, first.domain)
+    return first, (Quant(q.kind, rest, body) if rest else body)
+
+
+def nest_binders(q: Quant) -> tuple[list[Binder], Expr]:
+    """q's binders split off one after another by ``split_binder``, and the
+    innermost body: the nesting of one-binder quantifiers that means q."""
+    binders: list[Binder] = []
+    rest: Expr = q
+    for _ in q.binders:
+        b, rest = split_binder(rest)  # type: ignore[arg-type]
+        binders.append(b)
+    return binders, rest
 
 
 def alpha_equal(a: Expr, b: Expr) -> bool:

@@ -99,6 +99,25 @@ class TestExitCodes:
         assert code == 3
         assert "MEANINGLESS" in out and "<1>1" in out
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "THEOREM ASSUME NEW x, NEW T PROVE \\A x \\in T, y \\in x : y \\in x\n"
+            "<1>1. QED OBVIOUS\n",
+            # the same term reached by expanding a definition
+            "THEOREM ASSUME NEW x, NEW T PROVE TRUE\n"
+            "<1>1. DEFINE D(a) == \\A x \\in T, y \\in a : y \\in x\n"
+            "<1>2. D(x)\n      OBVIOUS\n<1>3. QED OBVIOUS\n",
+        ],
+    )
+    def test_sibling_domain_is_not_captured(self, capsys, tmp_path, text):
+        # y \in x reads the declared x, so the claim is false
+        p = tmp_path / "false.tla"
+        p.write_text(text)
+        code, out, _ = run(capsys, "check", str(p), "--prove", "--format", "json")
+        assert code == 2
+        assert json.loads(out)["leaves"][0]["outcome"] != "proved"
+
     def test_parse_error_is_three(self, capsys, tmp_path):
         p = tmp_path / "syntax.tla"
         p.write_text("THEOREM ((")

@@ -210,6 +210,29 @@ class TestTake:
         out = transform_step(TOK, TakeStep((Binder("x"), Binder("y"))), o)
         assert out.output == obl([New("P"), New("x"), New("y")], "P(x, y)")
 
+    def test_side_leaves_in_binder_order(self):
+        o = obl([New("S"), New("T"), New("P")], r"\A x \in S, y \in T : P(x, y)")
+        binders = (Binder("a", Ident("S")), Binder("b", Ident("T")))
+        leaves = leaf_obligations(transform_step(TOK, TakeStep(binders), o).node)
+        assert [pretty(l.obligation.goal) for l in leaves] == [
+            r"S \subseteq S",
+            r"T \subseteq T",
+        ]
+        # each side sees the context before its own binder
+        assert leaves[1].obligation.context[-2:] == (New("a"), fact(pe(r"a \in S")))
+
+    def test_later_domain_reads_the_context(self):
+        # x in the domain of y is the declared x, not the first binder
+        o = obl([New("x"), New("T"), New("P")], r"\A x \in T, y \in x : P")
+        binders = (Binder("z", Ident("T")), Binder("w", Ident("x")))
+        out = transform_step(TOK, TakeStep(binders), o)
+        leaves = leaf_obligations(out.node)
+        assert [pretty(l.obligation.goal) for l in leaves] == [
+            r"T \subseteq T",
+            r"x \subseteq x",
+        ]
+        assert out.output.goal == pe("P")
+
 
 class TestWitness:
     def test_unbounded(self):
@@ -240,6 +263,23 @@ class TestWitness:
         o = obl([New("P")], r"\A x : P(x)")
         with pytest.raises(MeaninglessError):
             transform_step(TOK, WitnessStep((WitnessItem(Ident("P")),)), o)
+
+    def test_side_leaves_in_item_order(self):
+        o = obl(
+            [New("S"), New("T"), New("c"), New("d"), New("P")],
+            r"\E x \in S, y \in T : P(x, y)",
+        )
+        items = (WitnessItem(Ident("c"), Ident("S")), WitnessItem(Ident("d"), Ident("T")))
+        out = transform_step(TOK, WitnessStep(items), o)
+        leaves = leaf_obligations(out.node)
+        assert [(l.kind, pretty(l.obligation.goal)) for l in leaves] == [
+            ("witness-subset-side", r"S \subseteq S"),
+            ("witness-membership-side", r"c \in S"),
+            ("witness-subset-side", r"T \subseteq T"),
+            ("witness-membership-side", r"d \in T"),
+        ]
+        assert leaves[2].obligation.context[-1] == fact(pe(r"c \in S"))
+        assert out.output.goal == pe("P(c, d)")
 
 
 class TestAssert:
@@ -354,6 +394,20 @@ class TestPick:
         out = transform_step(TOK, body, o)
         assert out.output.context[-2:] == (New("z1"), fact(pe(r"z1 \in S")))
 
+    def test_domain_reads_the_context_not_a_renamed_binder(self):
+        o = obl([New("x"), New("T"), New("P")], "P")
+        body = PickStep(
+            (Binder("x", Ident("T")), Binder("y", Ident("x"))), pe("TRUE"), Omitted()
+        )
+        out = transform_step(TOK, body, o)
+        assert out.output.context[3:] == (
+            New("x1"),
+            fact(pe(r"x1 \in T")),
+            New("y"),
+            fact(pe(r"y \in x")),
+            fact(pe("TRUE")),
+        )
+
 
 class TestExpandForMatching:
     def test_usable_definition_exposes_quantifier(self):
@@ -438,6 +492,68 @@ class TestCheckClaim:
         checked = check_theorem(parse_theorem(text))
         assert checked.meaningful
         assert [r.path for r in checked.records] == [(f"<1>{k}",) for k in range(1, n + 1)]
+
+
+N_ITEMS = 1000
+NAMES = [f"P{k}" for k in range(N_ITEMS)]
+ALL_NAMES = ", ".join(NAMES)
+# every P_k declared and assumed
+ASSUME_ALL = "ASSUME " + ", ".join(f"NEW {n}" for n in NAMES) + ", " + ALL_NAMES
+
+
+class TestLongItemLists:
+    """A step's facts or binders are walked with a loop: neither the checker
+    nor the leaf walk recurses once per item."""
+
+    def check(self, text):
+        checked = check_theorem(parse_theorem(text))
+        assert checked.meaningful
+        return checked.records
+
+    def test_by_many_facts(self):
+        records = self.check(f"THEOREM {ASSUME_ALL} PROVE P0\n<1>1. QED BY {ALL_NAMES}\n")
+        assert [r.kind for r in records] == ["use-fact-side"] * N_ITEMS + ["by-goal"]
+        assert [pretty(r.obligation.goal) for r in records[:-1]] == NAMES
+        assert records[-1].obligation.context[-N_ITEMS:] == tuple(fact(Ident(n)) for n in NAMES)
+
+    def test_use_many_facts(self):
+        records = self.check(
+            f"THEOREM {ASSUME_ALL} PROVE P0\n<1>1. USE {ALL_NAMES}\n<1>2. QED OBVIOUS\n"
+        )
+        assert [r.kind for r in records] == ["use-fact-side"] * N_ITEMS + ["obvious-goal"]
+        assert [pretty(r.obligation.goal) for r in records[:-1]] == NAMES
+
+    def test_hide_many_facts(self):
+        records = self.check(
+            f"THEOREM {ASSUME_ALL} PROVE P0\n<1>1. HIDE {ALL_NAMES}\n<1>2. QED OBVIOUS\n"
+        )
+        (qed,) = records
+        facts = [h for h in qed.obligation.context if isinstance(h, Fact)]
+        assert len(facts) == N_ITEMS and all(h.hidden for h in facts)
+
+    def test_take_many_binders(self):
+        bound = ", ".join(f"x{k} \\in S" for k in range(N_ITEMS))
+        taken = ", ".join(f"y{k} \\in S" for k in range(N_ITEMS))
+        records = self.check(
+            f"THEOREM ASSUME NEW S, NEW P PROVE \\A {bound} : P\n"
+            f"<1>1. TAKE {taken}\n<1>2. QED OBVIOUS\n"
+        )
+        assert [r.kind for r in records] == ["take-subset-side"] * N_ITEMS + ["obvious-goal"]
+        # each side sees the binders taken before it
+        assert [len(r.obligation.context) for r in records[:-1]] == [
+            2 + 2 * k for k in range(N_ITEMS)
+        ]
+
+    def test_witness_many_binders(self):
+        bound = ", ".join(f"x{k} \\in S" for k in range(N_ITEMS))
+        witnesses = ", ".join(["c \\in S"] * N_ITEMS)
+        records = self.check(
+            f"THEOREM ASSUME NEW S, NEW c, c \\in S, NEW P PROVE \\E {bound} : P\n"
+            f"<1>1. WITNESS {witnesses}\n<1>2. QED OBVIOUS\n"
+        )
+        kinds = ["witness-subset-side", "witness-membership-side"] * N_ITEMS
+        assert [r.kind for r in records] == kinds + ["obvious-goal"]
+        assert len(records[-1].obligation.context) == 4 + N_ITEMS
 
 
 CANTOR_GOLDEN_TEXT = (

@@ -76,6 +76,22 @@ class TestNormalization:
         assert normalize(pe("a # b")) == Neg(pe("a = b"))
         assert normalize(pe(r"a \notin b")) == Neg(pe(r"a \in b"))
 
+    def test_sibling_domain_reads_the_context(self):
+        # x in the domain of y is the declared x, so the first binder is
+        # renamed apart before the domain moves under it
+        got = normalize(pe(r"\A x \in T, y \in x : y \in x"))
+        assert got == pe(r"\A x1 : x1 \in T => \A y : y \in x => y \in x1")
+        got = normalize(pe(r"\E x \in T, x \in x : P(x)"))
+        assert got == pe(r"\E x1 : x1 \in T /\ (\E x1 : x1 \in x /\ P(x1))")
+        # a binder's own domain too
+        assert normalize(pe(r"\A x \in x : P(x)")) == pe(r"\A x1 : x1 \in x => P(x1)")
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 10**9), st.integers(1, 3))
+    def test_sibling_domains_keep_free_names(self, seed, depth):
+        e = sibling_quantifier(random.Random(seed), ["x", "y", "z", "S"], depth)
+        assert free_identifiers(normalize(e)) == free_identifiers(e)
+
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.integers(0, 10**9), st.integers(0, 4))
     def test_memoised_equals_the_plain_function(self, seed, depth):
@@ -91,6 +107,21 @@ class TestNormalization:
         assert got == want
         # an equal term built again gets the very same normal form
         assert normalize(rand_expr(random.Random(seed), ["a", "b", "S", "f"], depth)) is got
+
+
+def sibling_quantifier(rng: random.Random, scope: list[str], depth: int) -> Quant:
+    """A quantifier of two to four binders named from x, y and z, whose
+    domains may name an earlier binder of the same quantifier."""
+    binders = tuple(
+        Binder(rng.choice("xyz"), None if rng.random() < 0.3 else rand_term(rng, scope, 1))
+        for _ in range(rng.randrange(2, 5))
+    )
+    inner = scope + [b.name for b in binders]
+    if depth > 1 and rng.random() < 0.5:
+        body: Expr = sibling_quantifier(rng, inner, depth - 1)
+    else:
+        body = rand_expr(rng, inner, 2)
+    return Quant(rng.choice(["forall", "exists"]), binders, body)
 
 
 class TestPropositional:
