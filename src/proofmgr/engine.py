@@ -14,6 +14,13 @@ the label definition.  The checker for a whole theorem suppresses that
 negated-goal assumption for the steps of the theorem's top-level sequence
 only (a claim checked directly always receives it).
 
+Every declaration follows one rule (``_declare``): a NEW item of a goal
+form, a TAKE or PICK binder, a DEFINE and a step label may not reuse a name
+the context binds, nor one the same step declared earlier.  Such a step is
+meaningless; the checker renames nothing.  Only the top level of the context
+counts, so a name declared inside a labelled assertion, which lives on only
+in the label's definition, may be declared again by a later step.
+
 After a meaningless step, checking continues with the unrefined obligation so
 that several errors can be reported in one run.
 """
@@ -35,7 +42,6 @@ from .meta import (
     context_binds,
     fact,
     hiding_defs,
-    obligation_free_identifiers,
     obligation_to_expression,
     reflect_binders,
     twin,
@@ -44,7 +50,6 @@ from .meta import (
 )
 from .parser import (
     AssertStep,
-    Binder,
     By,
     CaseStep,
     DefineStep,
@@ -79,10 +84,8 @@ from .syntax import (
     Subseteq,
     alpha_equal,
     free_identifiers,
-    fresh_name,
     pretty,
     split_binder,
-    subst_many,
     substitute,
 )
 
@@ -145,46 +148,30 @@ def derivation_errors(d: Derivation) -> list[StepError]:
 # Goal-form reflection
 
 
-def goal_form_obligation(gf: GoalForm) -> Obligation:
-    """The obligation a goal form denotes (context fragment plus goal)."""
+def _declare(name: str, binds: set[str]) -> None:
+    """The declaration rule: a step may declare a name (NEW, TAKE, PICK,
+    DEFINE or a step label) only if no assumption of the context binds it
+    and the step has not declared it already.  binds holds the names in
+    scope and takes the new one."""
+    if name in binds:
+        raise DuplicateName(f"{name} is already bound")
+    binds.add(name)
+
+
+def goal_form_obligation(gf: GoalForm, binds: set[str]) -> Obligation:
+    """The obligation a goal form denotes (context fragment plus goal); its
+    NEW items are declared in binds, the names in scope."""
     ctx: list = []
-    seen: set[str] = set()
     for item in gf.assumes:
         match item:
             case NewItem(name, domain):
-                if name in seen:
-                    raise DuplicateName(f"{name} declared twice")
-                seen.add(name)
+                _declare(name, binds)
                 ctx.append(New(name))
                 if domain is not None:
                     ctx.append(fact(In(Ident(name), domain)))
             case FactItem(expr):
                 ctx.append(fact(expr))
     return Obligation(tuple(ctx), gf.goal)
-
-
-def _splice_fragment(
-    ctx_binds: set[str], fragment: Obligation
-) -> tuple[tuple, Expr]:
-    """Rename the fragment's declarations apart from the enclosing context,
-    substituting through its facts and goal."""
-    mapping: dict[str, Expr] = {}
-    out: list = []
-    taken = set(ctx_binds) | set(obligation_free_identifiers(fragment))
-    for h in fragment.context:
-        match h:
-            case New(name):
-                renamed = fresh_name(name, taken) if name in taken else name
-                if renamed != name:
-                    mapping[name] = Ident(renamed)
-                taken.add(renamed)
-                out.append(New(renamed))
-            case Fact(obl, hidden) if mapping and not obl.context:
-                out.append(Fact(Obligation((), subst_many(obl.goal, mapping)), hidden))
-            case _:
-                out.append(h)
-    goal = subst_many(fragment.goal, mapping) if mapping else fragment.goal
-    return tuple(out), goal
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +406,8 @@ class _Checker:
 
     def _define(self, token, body: DefineStep, obl, spath) -> StepOutcome:
         binds = context_binds(obl.context)
-        if body.name in binds:
-            raise DuplicateName(f"{body.name} is already bound in the context")
         _require_closed(body.body, binds | set(body.params), "definition body", spath, obl)
+        _declare(body.name, binds)
         definable: Union[Obligation, Lambda]
         if body.params:
             definable = Lambda(body.params, body.body)
@@ -466,7 +452,6 @@ class _Checker:
         take = step == "TAKE"
         kind = "forall" if take else "exists"
         binds = context_binds(obl.context)
-        taken = binds | obligation_free_identifiers(obl)
         ctx, goal = obl.context, obl.goal
         leaves: list[LeafObligationRecord] = []
         for item in items:
@@ -490,11 +475,9 @@ class _Checker:
                     f"{step} {what} is {want} but the goal binder is not", spath, cur
                 )
             if take:
-                name = fresh_name(item.name, taken)
-                taken.add(name)
-                binds.add(name)
-                term: Expr = Ident(name)
-                added: tuple = (New(name),)
+                _declare(item.name, binds)
+                term: Expr = Ident(item.name)
+                added: tuple = (New(item.name),)
             else:
                 term, added = item.expr, ()
             if dom is not None:
@@ -518,26 +501,23 @@ class _Checker:
     ) -> StepOutcome:
         """An assertion (rule assert or case) or a SUFFICES step (rule
         suffices).  The claim is proved inside: in the context with its
-        fragment spliced in (after the label's definition).  After the step
+        fragment, as it is, after the label's definition.  After the step
         the claim is assumed (by the label's hidden fact).  An assertion
         proves inside and goes on after; SUFFICES does the converse."""
         spath = path + (token.name,)
-        alpha = goal_form_obligation(gf)
-        what = "SUFFICES claim" if rule == "suffices" else "asserted claim"
         binds = context_binds(obl.context)
+        alpha = goal_form_obligation(gf, binds)
+        what = "SUFFICES claim" if rule == "suffices" else "asserted claim"
         _require_closed(alpha, binds, what, spath, obl)
         neg: tuple = () if suppress_neg else (fact(Neg(obl.goal), hidden=True),)
         defined: tuple = ()
         assumed: tuple = (Fact(alpha),)
         if token.label is not None:
             label = token.name
-            if label in binds:
-                raise DuplicateName(f"step label {label} is already bound")
+            _declare(label, binds)
             defined = (Def(label, alpha),)
             assumed = defined + (Fact(Obligation((), Ident(label)), hidden=True),)
-            binds = binds | {label}
-        fragment, goal = _splice_fragment(binds, alpha)
-        inside = Obligation(obl.context + neg + defined + fragment, goal)
+        inside = Obligation(obl.context + neg + defined + alpha.context, alpha.goal)
         after = Obligation(obl.context + assumed, obl.goal)
         sub_obl, output = (after, inside) if rule == "suffices" else (inside, after)
         sub = self.check(proof, sub_obl, spath, False)
@@ -547,28 +527,20 @@ class _Checker:
 
     def _pick(self, token, binders, pbody, proof, obl, path) -> StepOutcome:
         """PICK proves inside that its binders exist; after the step they
-        are declared, renamed apart from the context, with their domains
-        (read in the context) and the body as facts."""
+        are declared, with their domains (read in the context) and the body
+        as facts."""
         spath = path + (token.name,)
         binds = context_binds(obl.context)
         for b in binders:
             if b.domain is not None:
                 _require_closed(b.domain, binds, "PICK bound", spath, obl)
-        _require_closed(pbody, binds | {b.name for b in binders}, "PICK body", spath, obl)
+        for b in binders:
+            _declare(b.name, binds)
+        _require_closed(pbody, binds, "PICK body", spath, obl)
         existence = Obligation(obl.context, Quant("exists", tuple(binders), pbody))
         sub = self.check(proof, existence, spath, False, goal_kind="pick-existence")
-        taken = binds | obligation_free_identifiers(obl)
-        mapping: dict[str, Expr] = {}
-        renamed: list[Binder] = []
-        for b in binders:
-            fresh = fresh_name(b.name, taken)
-            if fresh != b.name:
-                mapping[b.name] = Ident(fresh)
-            taken.add(fresh)
-            renamed.append(Binder(fresh, b.domain))
-        body = subst_many(pbody, mapping) if mapping else pbody
         output = Obligation(
-            obl.context + reflect_binders(renamed) + (fact(body),), obl.goal
+            obl.context + reflect_binders(binders) + (fact(pbody),), obl.goal
         )
         node = Derivation("pick", obl, output, spath, children=(sub,), span=token.pos)
         return StepOutcome(output, node)
@@ -615,7 +587,7 @@ def transform_step(
 
 
 def theorem_obligation(thm: Theorem) -> Obligation:
-    return goal_form_obligation(thm.goal_form)
+    return goal_form_obligation(thm.goal_form, set())
 
 
 def check_theorem(thm: Theorem, *, local_defs_usable: bool = True) -> CheckedTheorem:

@@ -486,9 +486,9 @@ def expand_all_usable(
     One walk over the context: each assumption, and then the goal, has the
     usable definitions before it that are free in it expanded in context
     order, each definition already expanded by the ones before it.  This is
-    the fold of ``expand_definition`` over the usable definitions, provided
-    no name is bound twice in the top-level context (as ``check_well_formed``
-    requires): then no top-level binder can shadow or capture one.
+    the fold of ``expand_definition`` over the usable definitions, since the
+    checker rejects a second declaration of a name in the top-level context
+    (``_declare``): no top-level binder can then shadow or capture one.
 
     shared, a table kept across the leaves of one file, holds each expanded
     assumption under the identities of the assumption and of the (expanded)

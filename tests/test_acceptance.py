@@ -37,6 +37,7 @@ from proofmgr.meta import (
     Obligation,
     alpha_equal_obligation,
     check_well_formed,
+    context_binds,
     embed,
     expand_all_usable,
     fact,
@@ -76,7 +77,7 @@ from proofmgr.prover import (
     sequent_from_obligation,
 )
 from proofmgr.report import build_report, prepared_obligation
-from proofmgr.syntax import Ident, Implies, Neg, Quant
+from proofmgr.syntax import Ident, Implies, Neg, Quant, fresh_name
 
 DATA = Path(__file__).parent / "data"
 CORPUS = sorted((DATA / "corpus").glob("*.tla"))
@@ -297,6 +298,8 @@ def _gen_proof(rng: random.Random, obligation: Obligation, level: int, depth: in
 
 def _gen_step_body(rng, token, cur: Obligation, scope, level, depth):
     goal = cur.goal
+    # TAKE and PICK declare names the context does not bind yet
+    binds = context_binds(cur.context)
 
     def with_subproof(make):
         # probe with a placeholder subproof to learn the subclaim obligation,
@@ -318,8 +321,9 @@ def _gen_step_body(rng, token, cur: Obligation, scope, level, depth):
         return with_subproof(lambda p: SufficesStep(gf, p))
 
     def mk_pick():
-        e = rand_expr(rng, scope + ["w"], 1)
-        return with_subproof(lambda p: PickStep((Binder("w"),), e, p))
+        name = fresh_name("w", binds)
+        e = rand_expr(rng, scope + [name], 1)
+        return with_subproof(lambda p: PickStep((Binder(name),), e, p))
 
     options = [
         mk_assert,
@@ -332,11 +336,7 @@ def _gen_step_body(rng, token, cur: Obligation, scope, level, depth):
         options.append(lambda: HaveStep(goal.left))
     if isinstance(goal, Quant) and goal.kind == "forall":
         first = goal.binders[0]
-        binder = (
-            Binder(first.name)
-            if first.domain is None
-            else Binder(first.name, first.domain)
-        )
+        binder = Binder(fresh_name(first.name, binds), first.domain)
         options.append(lambda: TakeStep((binder,)))
     if isinstance(goal, Quant) and goal.kind == "exists":
         first = goal.binders[0]

@@ -201,6 +201,64 @@ class TestExitCodes:
         assert code == 3
 
 
+class TestDeclarations:
+    """A declaration may not reuse a name in scope: the step is meaningless."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # a binder repeated within one step
+            "THEOREM ASSUME NEW S, NEW c, c \\in S PROVE TRUE\n"
+            "<1>1. PICK z, z : z \\in S\n      OBVIOUS\n<1>2. QED OBVIOUS\n",
+            "THEOREM ASSUME NEW S, NEW P PROVE \\A x \\in S, y \\in S : P\n"
+            "<1>1. TAKE x \\in S, x \\in S\n<1>2. QED OBVIOUS\n",
+            # a binder the context declares; y's bound would read the outer x
+            "THEOREM ASSUME NEW x, NEW S, NEW P PROVE \\A x \\in S, y \\in S : P\n"
+            "<1>1. TAKE x \\in S, y \\in x\n<1>2. QED OBVIOUS\n",
+        ],
+        ids=["pick-repeated", "take-repeated", "take-declared"],
+    )
+    def test_redeclaration_is_three(self, capsys, tmp_path, text):
+        p = tmp_path / "redeclared.tla"
+        p.write_text(text)
+        code, out, _ = run(capsys, "check", "--list-obligations", str(p))
+        assert code == 3
+        code, out, _ = run(capsys, "check", str(p))
+        assert code == 3
+        assert "MEANINGLESS" in out
+        assert "error at <1>1: " in out and " is already bound" in out
+
+    def test_theorem_redeclaration_is_three(self, capsys, tmp_path):
+        p = tmp_path / "theorem.tla"
+        p.write_text("THEOREM ASSUME NEW x, NEW x PROVE TRUE\n<1>1. QED OBVIOUS\n")
+        code, _, err = run(capsys, "check", str(p))
+        assert code == 3
+        assert err == f"{p}: ill-formed theorem: x is already bound\n"
+
+    def test_a_later_take_bound_reads_the_taken_name(self, capsys, tmp_path):
+        p = tmp_path / "take.tla"
+        p.write_text(
+            "THEOREM ASSUME NEW S, NEW P PROVE \\A x \\in S, y \\in S : P\n"
+            "<1>1. TAKE x \\in S, y \\in x\n<1>2. QED OBVIOUS\n"
+        )
+        code, out, _ = run(capsys, "check", "--list-obligations", str(p))
+        assert code == 0
+        assert "[1] <1>1 take-subset-side\n    NEW S, NEW P, NEW x, x \\in S |- S \\subseteq x\n" in out
+
+    def test_a_nested_declaration_does_not_block_a_later_one(self, capsys, tmp_path):
+        # <1>1's x lives only in the label's definition
+        p = tmp_path / "scoped.tla"
+        p.write_text(
+            "THEOREM ASSUME NEW S PROVE \\A x \\in S : x \\in S\n"
+            "<1>1. ASSUME NEW x \\in S PROVE x \\in S\n      OBVIOUS\n"
+            "<1>2. TAKE x \\in S\n"
+            "<1>3. QED BY <1>1\n"
+        )
+        code, out, _ = run(capsys, "check", "--prove", str(p))
+        assert code == 0
+        assert "PROVED" in out
+
+
 class TestModes:
     def test_list_obligations(self, capsys):
         code, out, _ = run(capsys, "check", CANTOR, "--list-obligations")

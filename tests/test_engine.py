@@ -64,6 +64,12 @@ def obl(ctx, goal):
     return Obligation(tuple(ctx), pe(goal))
 
 
+def rejection(text):
+    """(step path, message) of the one error of a checked theorem."""
+    (err,) = check_theorem(parse_theorem(text)).errors
+    return ".".join(err.path), err.message
+
+
 class TestUseHide:
     def test_use_emits_side_obligation_and_appends_fact(self):
         o = obl([New("P"), fact(pe("P"), hidden=True)], "P")
@@ -200,10 +206,13 @@ class TestTake:
         with pytest.raises(MeaninglessError):
             transform_step(TOK, TakeStep((Binder("x"),)), o)
 
-    def test_shadowed_name_freshened(self):
-        o = obl([New("x"), New("P")], r"\A x : P(x)")
-        out = transform_step(TOK, TakeStep((Binder("x"),)), o)
-        assert out.output == obl([New("x"), New("P"), New("x1")], "P(x1)")
+    def test_shadowed_name_rejected(self):
+        # a TAKE binder may not redeclare a name of the context
+        assert rejection(
+            "THEOREM ASSUME NEW x, NEW P PROVE \\A x : P(x)\n"
+            "<1>1. TAKE x\n"
+            "<1>2. QED OMITTED\n"
+        ) == ("<1>1", "x is already bound")
 
     def test_take_list_folds(self):
         o = obl([New("P")], r"\A x : \A y : P(x, y)")
@@ -388,24 +397,25 @@ class TestPick:
         leaves = leaf_obligations(out.node)
         assert [l.kind for l in leaves] == ["pick-existence"]
 
-    def test_pick_shadowed_binder_freshened(self):
-        o = obl([New("S"), New("z"), fact(pe(r"z \in S"))], r"z \in S")
-        body = PickStep((Binder("z"),), pe(r"z \in S"), Obvious())
-        out = transform_step(TOK, body, o)
-        assert out.output.context[-2:] == (New("z1"), fact(pe(r"z1 \in S")))
+    def test_pick_shadowed_binder_rejected(self):
+        # rejected before its existence subproof is checked
+        assert rejection(
+            "THEOREM ASSUME NEW S, NEW z, z \\in S PROVE z \\in S\n"
+            "<1>1. PICK z : z \\in S\n"
+            "      OBVIOUS\n"
+            "<1>2. QED OBVIOUS\n"
+        ) == ("<1>1", "z is already bound")
 
-    def test_domain_reads_the_context_not_a_renamed_binder(self):
-        o = obl([New("x"), New("T"), New("P")], "P")
-        body = PickStep(
-            (Binder("x", Ident("T")), Binder("y", Ident("x"))), pe("TRUE"), Omitted()
+    def test_redeclared_binder_rejected_domain_reads_the_context(self):
+        pick = "<1>1. PICK x \\in T, y \\in x : TRUE\n      OMITTED\n<1>2. QED OMITTED\n"
+        assert rejection("THEOREM ASSUME NEW x, NEW T, NEW P PROVE P\n" + pick) == (
+            "<1>1",
+            "x is already bound",
         )
-        out = transform_step(TOK, body, o)
-        assert out.output.context[3:] == (
-            New("x1"),
-            fact(pe(r"x1 \in T")),
-            New("y"),
-            fact(pe(r"y \in x")),
-            fact(pe("TRUE")),
+        # without a declared x, the domain of y does not read the picked x
+        assert rejection("THEOREM ASSUME NEW T, NEW P PROVE P\n" + pick) == (
+            "<1>1",
+            "PICK bound mentions x, not bound in the context",
         )
 
 

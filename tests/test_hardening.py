@@ -6,6 +6,7 @@ import random
 import pytest
 
 from helpers import cantor_text
+from test_engine import rejection
 from proofmgr.engine import (
     MeaninglessError,
     check_claim,
@@ -111,32 +112,22 @@ class TestLeafClosedness:
 
 
 class TestShadowing:
-    def test_assume_reuses_an_existing_name(self):
-        thm = parse_theorem(
+    def test_assume_redeclaring_a_name_is_rejected(self):
+        # the inner declaration is not renamed apart from the outer x
+        assert rejection(
             "THEOREM ASSUME NEW x, NEW S, x \\in S PROVE x \\in S\n"
             "<1>1. ASSUME NEW x PROVE x = x\n"
             "      OBVIOUS\n"
             "<1>2. QED OBVIOUS\n"
-        )
-        checked = check_theorem(thm)
-        assert checked.meaningful
-        sub = checked.records[0].obligation
-        # the inner declaration is renamed apart from the outer x
-        assert New("x1") in sub.context
-        assert sub.goal == pe("x1 = x1")
-        check_well_formed(sub)
+        ) == ("<1>1", "x is already bound")
 
-    def test_suffices_fragment_renamed_in_continuation(self):
-        thm = parse_theorem(
+    def test_suffices_redeclaring_a_name_is_rejected(self):
+        assert rejection(
             "THEOREM ASSUME NEW x, NEW S, x \\in S PROVE x \\in S\n"
             "<1>1. SUFFICES ASSUME NEW x \\in S PROVE x \\in S\n"
             "      OBVIOUS\n"
             "<1>2. QED OBVIOUS\n"
-        )
-        checked = check_theorem(thm)
-        assert checked.meaningful
-        for record in checked.records:
-            check_well_formed(record.obligation)
+        ) == ("<1>1", "x is already bound")
 
 
 class TestDeepProofs:
