@@ -406,8 +406,8 @@ class _Checker:
 
     def _define(self, token, body: DefineStep, obl, spath) -> StepOutcome:
         binds = context_binds(obl.context)
+        _declare(body.name, set(binds))
         _require_closed(body.body, binds | set(body.params), "definition body", spath, obl)
-        _declare(body.name, binds)
         definable: Union[Obligation, Lambda]
         if body.params:
             definable = Lambda(body.params, body.body)
@@ -505,10 +505,12 @@ class _Checker:
         the claim is assumed (by the label's hidden fact).  An assertion
         proves inside and goes on after; SUFFICES does the converse."""
         spath = path + (token.name,)
-        binds = context_binds(obl.context)
+        scope = context_binds(obl.context)
+        binds = set(scope)
         alpha = goal_form_obligation(gf, binds)
         what = "SUFFICES claim" if rule == "suffices" else "asserted claim"
-        _require_closed(alpha, binds, what, spath, obl)
+        # a name the fragment uses before its NEW declares it is unbound
+        _require_closed(alpha, scope, what, spath, obl)
         neg: tuple = () if suppress_neg else (fact(Neg(obl.goal), hidden=True),)
         defined: tuple = ()
         assumed: tuple = (Fact(alpha),)

@@ -6,6 +6,7 @@ import itertools
 import random
 from pathlib import Path
 
+from proofmgr.engine import check_theorem
 from proofmgr.meta import (
     Def,
     Fact,
@@ -25,6 +26,7 @@ from proofmgr.parser import (
     Omitted,
     QedStep,
     Step,
+    parse_theorem,
 )
 from proofmgr.prover import Sequent
 from proofmgr.syntax import (
@@ -50,6 +52,12 @@ from proofmgr.syntax import (
 )
 
 DATA = Path(__file__).parent / "data"
+
+
+def rejection(text: str) -> tuple[str, str]:
+    """(step path, message) of the one error of a checked theorem."""
+    (err,) = check_theorem(parse_theorem(text)).errors
+    return ".".join(err.path), err.message
 
 
 def cantor_text() -> str:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from helpers import cantor_text, rand_expr
+from helpers import cantor_text, rand_expr, rejection
 from proofmgr.engine import (
     CheckedTheorem,
     MeaninglessError,
@@ -62,12 +62,6 @@ LAB = BeginStepToken(2, "5")
 
 def obl(ctx, goal):
     return Obligation(tuple(ctx), pe(goal))
-
-
-def rejection(text):
-    """(step path, message) of the one error of a checked theorem."""
-    (err,) = check_theorem(parse_theorem(text)).errors
-    return ".".join(err.path), err.message
 
 
 class TestUseHide:
@@ -157,6 +151,9 @@ class TestDefine:
         o = obl([New("T")], "TRUE")
         with pytest.raises(DuplicateName):
             transform_step(TOK, DefineStep("T", (), pe("TRUE")), o)
+        # the redeclaration is reported before an unbound body
+        with pytest.raises(DuplicateName):
+            transform_step(TOK, DefineStep("T", (), pe("Ghost")), o)
 
 
 class TestHave:

@@ -5,8 +5,7 @@ import random
 
 import pytest
 
-from helpers import cantor_text
-from test_engine import rejection
+from helpers import cantor_text, rejection
 from proofmgr.engine import (
     MeaninglessError,
     check_claim,
@@ -128,6 +127,20 @@ class TestShadowing:
             "      OBVIOUS\n"
             "<1>2. QED OBVIOUS\n"
         ) == ("<1>1", "x is already bound")
+
+    def test_fragment_name_used_before_its_declaration_is_unbound(self):
+        # a fragment's fact or NEW domain is read in the scope before the
+        # step, not after the fragment's own later NEW
+        for fragment in (
+            "ASSUME x \\in S, NEW x PROVE x \\in S",
+            "ASSUME NEW y \\in x, NEW x PROVE TRUE",
+        ):
+            assert rejection(
+                "THEOREM ASSUME NEW S PROVE TRUE\n"
+                f"<1>1. {fragment}\n"
+                "      OBVIOUS\n"
+                "<1>2. QED OBVIOUS\n"
+            ) == ("<1>1", "asserted claim mentions x, not bound in the context")
 
 
 class TestDeepProofs:
