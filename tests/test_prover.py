@@ -48,6 +48,7 @@ from proofmgr.syntax import (
     Quant,
     free_identifiers,
     map_children,
+    pretty,
     subst_many,
 )
 
@@ -304,6 +305,171 @@ class TestSetRules:
             ),
             Budget(12, 10000, 4),
         )
+
+
+class TestSetRuleTable:
+    """The expansion of every set atom and of its negation: rule, kind and
+    introduced formulas.  A constant z (or v) makes the bound name z1 (v1)."""
+
+    @pytest.mark.parametrize(
+        "formula, expected",
+        [
+            (r"x \in {v \in D : P(v, z)}", ("subset-of", "alpha", [r"x \in D", "P(x, z)"])),
+            (
+                r"~(x \in {v \in D : P(v, z)})",
+                ("subset-of-neg", "beta", [r"~(x \in D)", "~P(x, z)"]),
+            ),
+            (
+                r"x \in {v \in D : \A x : P(v, x)}",
+                ("subset-of", "alpha", [r"x \in D", r"\A x1 : P(x, x1)"]),
+            ),
+            (
+                r"~(x \in {v \in D : \A x : P(v, x)})",
+                ("subset-of-neg", "beta", [r"~(x \in D)", r"~(\A x1 : P(x, x1))"]),
+            ),
+            (r"z \in SUBSET S", ("power-set", "alpha", [r"z \subseteq S"])),
+            (r"~(z \in SUBSET S)", ("power-set-neg", "alpha", [r"~(z \subseteq S)"])),
+            (r"z \subseteq S", ("subseteq", "alpha", [r"\A z1 : z1 \in z => z1 \in S"])),
+            (
+                r"~(z \subseteq S)",
+                ("subseteq-neg", "alpha", [r"~(\A z1 : z1 \in z => z1 \in S)"]),
+            ),
+            (r"x \subseteq S", ("subseteq", "alpha", [r"\A z : z \in x => z \in S"])),
+            (
+                r"v \in {f[v] : v \in D}",
+                ("set-of-all", "alpha", [r"\E v1 : v1 \in D /\ v = f[v1]"]),
+            ),
+            (
+                r"~(v \in {f[v] : v \in D})",
+                ("set-of-all-neg", "alpha", [r"\A v1 : ~(v1 \in D /\ v = f[v1])"]),
+            ),
+            (r"f \in [z -> T]", ("func-space", "alpha", [r"\A z1 : z1 \in z => f[z1] \in T"])),
+            (r"~(f \in [z -> T])", None),
+            (r"z = {v \in S : P(v)}", None),
+            (
+                r"~(z = {v \in S : P(v)})",
+                ("extensionality", "alpha", [r"~(\A z1 : z1 \in z <=> z1 \in {v \in S : P(v)})"]),
+            ),
+            (
+                r"~(SUBSET S = z)",
+                ("extensionality", "alpha", [r"~(\A z1 : z1 \in SUBSET S <=> z1 \in z)"]),
+            ),
+            (
+                r"~([S -> T] = f)",
+                ("extensionality", "alpha", [r"~(\A z : z \in [S -> T] <=> z \in f)"]),
+            ),
+            (
+                r"~({f[v] : v \in S} = z)",
+                ("extensionality", "alpha", [r"~(\A z1 : z1 \in {f[v] : v \in S} <=> z1 \in z)"]),
+            ),
+            (r"~(z = y)", None),
+            (r"x \in S", None),
+            (r"~(x \in S)", None),
+            (r"~((a \subseteq e) = c)", None),
+        ],
+    )
+    def test_expansion(self, formula, expected):
+        exp = prover._expansion(normalize(pe(formula)))
+        if expected is None:
+            assert exp is None
+        else:
+            rule, kind, parts = exp
+            assert (rule, kind, [pretty(p) for p in parts]) == expected
+
+
+def with_metas(text: str) -> Expr:
+    """The formula text with the names M1 and M2 made metavariables."""
+    return subst_many(pe(text), {"M1": Ident("?1"), "M2": Ident("?2")})
+
+
+def unifies(a: str, b: str) -> tuple[bool, dict]:
+    """Whether a and b unify, and the bindings made, resolved."""
+    subst = _Subst()
+    ok = subst.unify(with_metas(a), with_metas(b))
+    return ok, {k: pretty(subst.resolve(v)) for k, v in subst.map.items()}
+
+
+def domain_free(q: Quant) -> Quant:
+    """q with its first binder's domain dropped."""
+    return Quant(q.kind, (Binder(q.binders[0].name), *q.binders[1:]), q.body)
+
+
+class TestNodeLabels:
+    """Two nodes of one type unify, or are congruent, only when their names,
+    values, arities, binders and comprehension variables agree."""
+
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [
+            (r"{x \in M1 : P(x)}", r"{x \in S : P(x)}", (True, {"?1": "S"})),
+            (r"{x \in M1 : P(x)}", r"{y \in S : P(y)}", (False, {})),
+            (r"{f[x] : x \in M1}", r"{f[x] : x \in S}", (True, {"?1": "S"})),
+            (r"{f[x] : x \in M1}", r"{f[y] : y \in S}", (False, {})),
+            (r"\A x : P(x, M1)", r"\A x : P(x, a)", (True, {"?1": "a"})),
+            (r"\A x : P(x, M1)", r"\A y : P(y, a)", (False, {})),
+            (r"\E x : P(x, M1)", r"\A x : P(x, a)", (False, {})),
+            (r"\A x \in M1 : P(x)", r"\A x \in S : P(x)", (True, {"?1": "S"})),
+            # the first domain unifies before the second binder's name differs
+            (r"\A x \in M1, y \in T : P(x)", r"\A x \in S, z \in T : P(x)", (False, {})),
+            (r"\A x \in M1, y \in T : P(x)", r"\A x \in S, y \in T, w : P(x)", (False, {})),
+            ("P(M1, b)", "P(a, b)", (True, {"?1": "a"})),
+            ("P(M1)", "P(a, b)", (False, {})),
+            ("P(M1)", "Q(a)", (False, {})),
+            ("f[M1] = M2", "f[a] = b", (True, {"?1": "a", "?2": "b"})),
+            ("TRUE", "FALSE", (False, {})),
+        ],
+    )
+    def test_unify(self, a, b, expected):
+        assert unifies(a, b) == expected
+
+    def test_domain_presence_differs(self):
+        a = with_metas(r"\A x \in M1 : P(x)")
+        b = pe(r"\A x \in S : P(x)")
+        for x, y in ((domain_free(a), b), (a, domain_free(b))):
+            subst = _Subst()
+            assert not subst.unify(x, y) and subst.map == {}
+        subst = _Subst()
+        assert subst.unify(domain_free(a), domain_free(b)) and subst.map == {}
+
+    @pytest.mark.parametrize(
+        "template, congruent",
+        [
+            ("P({})", True),
+            ("f[{}]", True),
+            ("g[{}][{}]", True),
+            ("SUBSET {}", True),
+            ("[{} -> e]", True),
+            ("[e -> {}]", True),
+            (r"({} \subseteq e)", False),
+            (r"({} \in e)", False),
+            ("{{x \\in {} : P(x)}}", False),
+        ],
+    )
+    def test_congruence_through_applications(self, template, congruent):
+        # a = b, T(a) = c, T(b) = d: c = d when congruence goes through T
+        ta, tb = template.format("a", "a"), template.format("b", "b")
+        cc = prover._Congruence(
+            [(pe("a"), pe("b")), (pe(ta), pe("c")), (pe(tb), pe("d"))]
+        )
+        assert cc.equal(pe("c"), pe("d")) is congruent
+        assert cc.equal(pe(ta), pe(tb)) is congruent
+
+    @pytest.mark.parametrize(
+        "x, y, equal",
+        [
+            ("P(a)", "P(b)", True),
+            ("P(a)", "Q(b)", False),
+            ("P(a)", "P(b, b)", False),
+            (r"a \in S", r"b \in S", True),
+            ("a = c", "b = c", True),
+            ("a = c", "c = b", False),
+            (r"a \subseteq c", r"b \subseteq c", False),
+            (r"a \in S", "a = S", False),
+        ],
+    )
+    def test_equal_atom(self, x, y, equal):
+        cc = prover._Congruence([(pe("a"), pe("b"))])
+        assert cc.equal_atom(pe(x), pe(y)) is equal
 
 
 class TestTraces:

@@ -41,15 +41,22 @@ from proofmgr.parser import parse_expression
 from proofmgr.syntax import (
     And,
     Binder,
+    Bool,
     Eq,
+    FnApp,
     Ident,
     Implies,
+    In,
     Neg,
     OpApp,
+    PowerSet,
     Quant,
+    SetComp,
+    SetImage,
     alpha_equal,
     free_identifiers,
     fresh_name,
+    map_children,
     pretty,
     substitute,
 )
@@ -153,6 +160,196 @@ class TestAlphaEqual:
     @given(exprs())
     def test_reflexive(self, e):
         assert alpha_equal(e, e)
+
+
+# ---------------------------------------------------------------------------
+# Binder scope: the walkers against per-node references
+
+
+def ref_free_names(e):
+    """Reference: the free names of e, one case per binding node."""
+    match e:
+        case Ident(name):
+            return frozenset({name})
+        case OpApp(name, args):
+            out = {name}
+            for a in args:
+                out |= ref_free_names(a)
+            return frozenset(out)
+        case Quant(_, binders, body):
+            out = set(ref_free_names(body))
+            for b in binders:
+                out.discard(b.name)
+            for b in binders:
+                if b.domain is not None:
+                    out |= ref_free_names(b.domain)
+            return frozenset(out)
+        case SetComp(var, domain, pred):
+            return (ref_free_names(pred) - {var}) | ref_free_names(domain)
+        case SetImage(expr, var, domain):
+            return (ref_free_names(expr) - {var}) | ref_free_names(domain)
+        case _:
+            out = set()
+            for c in children(e):
+                out |= ref_free_names(c)
+            return frozenset(out)
+
+
+def ref_alpha(a, b, env_a, env_b, depth):
+    """Reference: alpha equality, one case per binding node."""
+    if type(a) is not type(b):
+        return False
+    match a:
+        case Ident(name):
+            da, db = env_a.get(name), env_b.get(b.name)
+            if (da is None) != (db is None):
+                return False
+            return da == db if da is not None else name == b.name
+        case Bool(value):
+            return value == b.value
+        case OpApp(name, args):
+            da, db = env_a.get(name), env_b.get(b.name)
+            if (da is None) != (db is None):
+                return False
+            if (da == db if da is not None else name == b.name) is False:
+                return False
+            if len(args) != len(b.args):
+                return False
+            return all(ref_alpha(x, y, env_a, env_b, depth) for x, y in zip(args, b.args))
+        case Quant(kind, binders, body):
+            if kind != b.kind or len(binders) != len(b.binders):
+                return False
+            ea, eb = dict(env_a), dict(env_b)
+            d = depth
+            for ba, bb in zip(binders, b.binders):
+                if (ba.domain is None) != (bb.domain is None):
+                    return False
+                if ba.domain is not None and not ref_alpha(
+                    ba.domain, bb.domain, env_a, env_b, depth
+                ):
+                    return False
+                ea[ba.name] = d
+                eb[bb.name] = d
+                d += 1
+            return ref_alpha(body, b.body, ea, eb, d)
+        case SetComp(var, domain, pred):
+            if not ref_alpha(domain, b.domain, env_a, env_b, depth):
+                return False
+            ea, eb = dict(env_a), dict(env_b)
+            ea[var] = depth
+            eb[b.var] = depth
+            return ref_alpha(pred, b.pred, ea, eb, depth + 1)
+        case SetImage(expr, var, domain):
+            if not ref_alpha(domain, b.domain, env_a, env_b, depth):
+                return False
+            ea, eb = dict(env_a), dict(env_b)
+            ea[var] = depth
+            eb[b.var] = depth
+            return ref_alpha(expr, b.expr, ea, eb, depth + 1)
+        case _:
+            ca, cb = list(children(a)), list(children(b))
+            if len(ca) != len(cb):
+                return False
+            return all(ref_alpha(x, y, env_a, env_b, depth) for x, y in zip(ca, cb))
+
+
+BOUND = "xyz"
+
+
+def binder_term(rng: random.Random, scope: list[str], depth: int):
+    """A term dense in binders named from x, y and z: quantifiers of one to
+    three binders (repeats allowed) whose domains may name a sibling,
+    comprehensions, image sets, and operators applied under a binder of
+    their name."""
+    names = scope + list(BOUND)
+    if depth <= 0:
+        k = rng.randrange(4)
+        if k == 0:
+            return Bool(rng.random() < 0.5)
+        if k == 1:
+            args = tuple(Ident(rng.choice(names)) for _ in range(rng.randrange(1, 3)))
+            return OpApp(rng.choice(names), args)
+        return Ident(rng.choice(names))
+    sub = lambda s=scope: binder_term(rng, s, depth - 1)  # noqa: E731
+    k = rng.randrange(8)
+    if k == 0:
+        binders = tuple(
+            Binder(rng.choice(BOUND), None if rng.random() < 0.4 else sub())
+            for _ in range(rng.randrange(1, 4))
+        )
+        body = sub(scope + [b.name for b in binders])
+        return Quant(rng.choice(["forall", "exists"]), binders, body)
+    if k == 1:
+        var = rng.choice(BOUND)
+        return SetComp(var, sub(), sub(scope + [var]))
+    if k == 2:
+        var = rng.choice(BOUND)
+        return SetImage(sub(scope + [var]), var, sub())
+    if k == 3:
+        return OpApp(rng.choice(names), tuple(sub() for _ in range(rng.randrange(1, 3))))
+    if k == 4:
+        return Neg(sub())
+    if k == 5:
+        return PowerSet(sub())
+    if k == 6:
+        return FnApp(sub(), sub())
+    return rng.choice([And, Eq, In])(sub(), sub())
+
+
+def rename_bound(rng: random.Random, e, env: dict):
+    """e with each binder renamed to a name drawn from BOUND and the free
+    names, and its bound occurrences renamed with it; a drawn name may
+    capture, so the result need not be alpha-equal to e."""
+    pick = lambda: rng.choice(BOUND + "aS")  # noqa: E731
+    match e:
+        case Ident(name):
+            return Ident(env.get(name, name))
+        case OpApp(name, args):
+            return OpApp(env.get(name, name), tuple(rename_bound(rng, a, env) for a in args))
+        case Quant(kind, binders, body):
+            inner = dict(env)
+            out = []
+            for b in binders:
+                new = pick()
+                domain = None if b.domain is None else rename_bound(rng, b.domain, env)
+                out.append(Binder(new, domain))
+                inner[b.name] = new
+            return Quant(kind, tuple(out), rename_bound(rng, body, inner))
+        case SetComp(var, domain, pred):
+            new = pick()
+            pred = rename_bound(rng, pred, {**env, var: new})
+            return SetComp(new, rename_bound(rng, domain, env), pred)
+        case SetImage(expr, var, domain):
+            new = pick()
+            expr = rename_bound(rng, expr, {**env, var: new})
+            return SetImage(expr, new, rename_bound(rng, domain, env))
+        case _:
+            return map_children(e, lambda c: rename_bound(rng, c, env))
+
+
+@st.composite
+def binder_pairs(draw):
+    """Two binder-heavy terms: the second is the first, the first with its
+    binders renamed, or another term."""
+    rng = random.Random(draw(st.integers(0, 10**9)))
+    a = binder_term(rng, ["a", "S"], draw(st.integers(1, 4)))
+    how = draw(st.sampled_from(["same", "renamed", "renamed", "other"]))
+    if how == "same":
+        return a, a
+    if how == "renamed":
+        return a, rename_bound(rng, a, {})
+    return a, binder_term(rng, ["a", "S"], draw(st.integers(0, 4)))
+
+
+class TestBinderScope:
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(binder_pairs())
+    def test_walkers_agree_with_the_references(self, pair):
+        a, b = pair
+        assert alpha_equal(a, b) == ref_alpha(a, b, {}, {}, 0)
+        assert alpha_equal(b, a) == ref_alpha(b, a, {}, {}, 0)
+        for e in (a, b):
+            assert free_identifiers(e) == ref_free_names(e)
 
 
 class TestPretty:
