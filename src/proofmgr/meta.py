@@ -319,7 +319,6 @@ def check_well_formed(o: Obligation, scope: frozenset[str] = frozenset()) -> Non
     inside is ``bound_twice``."""
     bound: set[str] = set()
     for h in o.context:
-        inner = scope | bound
         match h:
             case New(name):
                 if name in bound:
@@ -328,7 +327,7 @@ def check_well_formed(o: Obligation, scope: frozenset[str] = frozenset()) -> Non
             case Def(name, definable, _):
                 if name in bound:
                     raise NotWellFormed(f"{name} bound twice")
-                loose = definable.free - inner
+                loose = definable.free - bound - scope
                 if loose:
                     raise NotWellFormed(
                         f"definition of {name} mentions unbound {sorted(loose)}"
@@ -337,12 +336,12 @@ def check_well_formed(o: Obligation, scope: frozenset[str] = frozenset()) -> Non
                     raise NotWellFormed(f"{definable.bound_twice} bound twice")
                 bound.add(name)
             case Fact(obl, _):
-                loose = obl.free - inner
+                loose = obl.free - bound - scope
                 if loose:
                     raise NotWellFormed(f"fact mentions unbound {sorted(loose)}")
                 if obl.bound_twice:
                     raise NotWellFormed(f"{obl.bound_twice} bound twice")
-    loose = free_identifiers(o.goal) - (scope | bound)
+    loose = free_identifiers(o.goal) - bound - scope
     if loose:
         raise NotWellFormed(f"goal mentions unbound {sorted(loose)}")
 

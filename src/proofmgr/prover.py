@@ -15,7 +15,10 @@ The prover refutes hypotheses plus the negated goal.  Rules:
   or a function space unfolds per construct; the subset relation unfolds to
   its bounded-universal definition; extensionality fires once per branch on a
   negated equality whose side is a set-shaped term; a bounded rewrite step
-  re-exposes a set shape hidden behind a branch equality.
+  re-exposes a set shape hidden behind a branch equality.  The rule for a
+  negated comprehension or powerset membership or subset relation is
+  derived from the positive one (``_unfolding``), as in Smullyan's uniform
+  notation: it adds the negated parts, branching when there are two.
 
 The depth bound counts only the first-order steps, those that can make new
 formulas without end: gamma, rewrite, comprehension membership (the
@@ -203,6 +206,23 @@ def _reserved_names(sequent: Sequent) -> list[str]:
 # Substitution over metavariables
 
 
+def _label(e: Expr):
+    """What two nodes of one type must share, besides their subterms, to be
+    equal: a name or value and an operator's arity, a quantifier's kind and
+    each binder's name and whether it has a domain, or a comprehension's
+    variable.  Equal labels make the subterms pair up."""
+    match e:
+        case Ident(n) | s.Bool(n):
+            return n
+        case OpApp(n, args):
+            return n, len(args)
+        case Quant(kind, binders):
+            return kind, [(b.name, b.domain is None) for b in binders]
+        case s.SetComp(var) | s.SetImage(_, var):
+            return var
+    return None
+
+
 class _Subst:
     def __init__(self) -> None:
         self.map: dict[str, Expr] = {}
@@ -262,50 +282,13 @@ class _Subst:
             return True
         if _is_meta(b):
             return self.unify(b, a, cc)
-        if type(a) is type(b):
+        if type(a) is type(b) and _label(a) == _label(b):
+            # their subterms pair up, and unify in order
             mark = self.mark()
-            if self._unify_same(a, b, cc):
+            if all(self.unify(x, y, cc) for x, y in zip(s.children(a), s.children(b))):
                 return True
             self.undo(mark)
         return self._unify_via_congruence(a, b, cc)
-
-    def _unify_same(self, a: Expr, b: Expr, cc) -> bool:
-        match a:
-            case Ident(n):
-                return n == b.name  # type: ignore[attr-defined]
-            case s.Bool(v):
-                return v == b.value  # type: ignore[attr-defined]
-            case OpApp(n, args):
-                if n != b.name or len(args) != len(b.args):  # type: ignore[attr-defined]
-                    return False
-                return all(self.unify(x, y, cc) for x, y in zip(args, b.args))  # type: ignore[attr-defined]
-            case Quant(kind, binders, body):
-                if kind != b.kind or len(binders) != len(b.binders):  # type: ignore[attr-defined]
-                    return False
-                for ba, bb in zip(binders, b.binders):  # type: ignore[attr-defined]
-                    if ba.name != bb.name or (ba.domain is None) != (bb.domain is None):
-                        return False
-                    if ba.domain is not None and not self.unify(ba.domain, bb.domain, cc):
-                        return False
-                return self.unify(body, b.body, cc)  # type: ignore[attr-defined]
-            case s.SetComp(var, domain, pred):
-                return (
-                    var == b.var  # type: ignore[attr-defined]
-                    and self.unify(domain, b.domain, cc)  # type: ignore[attr-defined]
-                    and self.unify(pred, b.pred, cc)  # type: ignore[attr-defined]
-                )
-            case s.SetImage(expr, var, domain):
-                return (
-                    var == b.var  # type: ignore[attr-defined]
-                    and self.unify(expr, b.expr, cc)  # type: ignore[attr-defined]
-                    and self.unify(domain, b.domain, cc)  # type: ignore[attr-defined]
-                )
-            case _:
-                ka = list(s.children(a))
-                kb = list(s.children(b))
-                if len(ka) != len(kb):
-                    return False
-                return all(self.unify(x, y, cc) for x, y in zip(ka, kb))
 
     def _unify_via_congruence(self, a: Expr, b: Expr, cc) -> bool:
         if cc is None:
@@ -339,6 +322,10 @@ def _pool_terms(e: Expr, pool: dict[Expr, None]) -> None:
         case _:
             for c in s.children(e):
                 _pool_terms(c, pool)
+
+
+# The nodes congruence goes through: a function of their subterms
+_APPLICATIONS = (OpApp, s.FnApp, s.PowerSet, s.FuncSpace)
 
 
 class _Congruence:
@@ -384,23 +371,13 @@ class _Congruence:
                         changed = True
 
     def _congruent(self, a: Expr, b: Expr) -> bool:
-        if type(a) is not type(b):
-            return False
-        match a:
-            case OpApp(n, args):
-                return (
-                    n == b.name  # type: ignore[attr-defined]
-                    and len(args) == len(b.args)  # type: ignore[attr-defined]
-                    and all(self.equal(x, y) for x, y in zip(args, b.args))  # type: ignore[attr-defined]
-                )
-            case s.FnApp(fn, arg):
-                return self.equal(fn, b.fn) and self.equal(arg, b.arg)  # type: ignore[attr-defined]
-            case s.PowerSet(st):
-                return self.equal(st, b.set)  # type: ignore[attr-defined]
-            case s.FuncSpace(dom, cod):
-                return self.equal(dom, b.dom) and self.equal(cod, b.cod)  # type: ignore[attr-defined]
-            case _:
-                return False
+        return type(a) is type(b) and isinstance(a, _APPLICATIONS) and self._pairwise(a, b)
+
+    def _pairwise(self, a: Expr, b: Expr) -> bool:
+        """a and b, of one type, have one label and equal subterms."""
+        return _label(a) == _label(b) and all(
+            self.equal(x, y) for x, y in zip(s.children(a), s.children(b))
+        )
 
     def equal(self, a: Expr, b: Expr) -> bool:
         if a == b:
@@ -413,13 +390,9 @@ class _Congruence:
         """Atom congruence: same predicate shape with congruent arguments."""
         if type(a) is not type(b):
             return False
-        match a:
-            case s.In(i, st):
-                return self.equal(i, b.item) and self.equal(st, b.set)  # type: ignore[attr-defined]
-            case s.Eq(l, r):
-                return self.equal(l, b.left) and self.equal(r, b.right)  # type: ignore[attr-defined]
-            case _:
-                return self.equal(a, b)
+        if isinstance(a, (s.In, s.Eq)):
+            return self._pairwise(a, b)
+        return self.equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -435,11 +408,37 @@ def _fresh_bound(base: str, *exprs: Expr) -> str:
     return s.fresh_name(base, avoid)
 
 
+def _forall(z: str, body: Expr) -> Quant:
+    return Quant("forall", (Binder(z, None),), body)
+
+
+def _unfolding(atom: Expr) -> Optional[tuple[str, list[Expr]]]:
+    """(rule, parts) of a set atom that means the conjunction of its parts:
+    membership in a bounded comprehension or a powerset, and the subset
+    relation; else None."""
+    match atom:
+        case s.In(a, s.SetComp(v, dom, pred)):
+            return ("subset-of", [s.In(a, dom), s.substitute(pred, v, a)])
+        case s.In(a, s.PowerSet(st)):
+            return ("power-set", [s.Subseteq(a, st)])
+        case s.Subseteq(a, b):
+            z = _fresh_bound("z", a, b)
+            return ("subseteq", [_forall(z, s.Implies(s.In(Ident(z), a), s.In(Ident(z), b)))])
+    return None
+
+
 @functools.lru_cache(maxsize=4096)
 def _expansion(e: Expr) -> Optional[tuple[str, str, object]]:
     """Classify a formula: (rule, kind, payload) where kind is one of
     alpha / beta / gamma / delta, or None for literals.  The payload is
     shared by every tableau the formula occurs in: it is never changed."""
+    negated = type(e) is Neg
+    unfolded = _unfolding(e.item if negated else e)
+    if unfolded is not None:
+        rule, parts = unfolded
+        if not negated:
+            return (rule, "alpha", parts)
+        return (f"{rule}-neg", "beta" if len(parts) == 2 else "alpha", [Neg(p) for p in parts])
     match e:
         case s.And(a, b):
             return ("alpha", "alpha", [a, b])
@@ -459,103 +458,30 @@ def _expansion(e: Expr) -> Optional[tuple[str, str, object]]:
             return ("beta", "beta", [Neg(a), b])
         case Neg(s.Iff(a, b)):
             return ("beta", "beta", [s.And(a, Neg(b)), s.And(Neg(a), b)])
-        case Quant("forall", (Binder(x, None),), body):
-            return ("gamma", "gamma", (x, body, False))
-        case Neg(Quant("exists", (Binder(x, None),), body)):
-            return ("gamma", "gamma", (x, body, True))
-        case Quant("exists", (Binder(x, None),), body):
-            return ("delta", "delta", (x, body, False))
-        case Neg(Quant("forall", (Binder(x, None),), body)):
-            return ("delta", "delta", (x, body, True))
-        case s.In(a, s.SetComp(v, dom, pred)):
-            return ("subset-of", "alpha", [s.In(a, dom), s.substitute(pred, v, a)])
-        case Neg(s.In(a, s.SetComp(v, dom, pred))):
-            return (
-                "subset-of-neg",
-                "beta",
-                [Neg(s.In(a, dom)), Neg(s.substitute(pred, v, a))],
-            )
-        case s.In(a, s.SetImage(expr, v, dom)):
+        case Quant(kind, (Binder(x, None),), body) | Neg(Quant(kind, (Binder(x, None),), body)):
+            # gamma for a universal or a negated existential, else delta
+            rule = "gamma" if (kind == "forall") != negated else "delta"
+            return (rule, rule, (x, body, negated))
+        case s.In(a, s.SetImage(expr, v, dom)) | Neg(s.In(a, s.SetImage(expr, v, dom))):
             y = _fresh_bound(v, a, expr, dom)
-            inst = s.substitute(expr, v, Ident(y))
-            return (
-                "set-of-all",
-                "alpha",
-                [Quant("exists", (Binder(y, None),), s.And(s.In(Ident(y), dom), s.Eq(a, inst)))],
-            )
-        case Neg(s.In(a, s.SetImage(expr, v, dom))):
-            y = _fresh_bound(v, a, expr, dom)
-            inst = s.substitute(expr, v, Ident(y))
-            return (
-                "set-of-all-neg",
-                "alpha",
-                [
-                    Quant(
-                        "forall",
-                        (Binder(y, None),),
-                        Neg(s.And(s.In(Ident(y), dom), s.Eq(a, inst))),
-                    )
-                ],
-            )
-        case s.In(a, s.PowerSet(st)):
-            return ("power-set", "alpha", [s.Subseteq(a, st)])
-        case Neg(s.In(a, s.PowerSet(st))):
-            return ("power-set-neg", "alpha", [Neg(s.Subseteq(a, st))])
-        case s.Subseteq(a, b):
-            z = _fresh_bound("z", a, b)
-            return (
-                "subseteq",
-                "alpha",
-                [
-                    Quant(
-                        "forall",
-                        (Binder(z, None),),
-                        s.Implies(s.In(Ident(z), a), s.In(Ident(z), b)),
-                    )
-                ],
-            )
-        case Neg(s.Subseteq(a, b)):
-            z = _fresh_bound("z", a, b)
-            return (
-                "subseteq-neg",
-                "alpha",
-                [
-                    Neg(
-                        Quant(
-                            "forall",
-                            (Binder(z, None),),
-                            s.Implies(s.In(Ident(z), a), s.In(Ident(z), b)),
-                        )
-                    )
-                ],
-            )
+            member = s.And(s.In(Ident(y), dom), s.Eq(a, s.substitute(expr, v, Ident(y))))
+            if negated:
+                # \A y : ~(...), not the ~\E y : ... a derived rule would give
+                return ("set-of-all-neg", "alpha", [_forall(y, Neg(member))])
+            return ("set-of-all", "alpha", [Quant("exists", (Binder(y, None),), member)])
         case s.In(f, s.FuncSpace(dom, cod)):
             z = _fresh_bound("z", f, dom, cod)
             return (
                 "func-space",
                 "alpha",
-                [
-                    Quant(
-                        "forall",
-                        (Binder(z, None),),
-                        s.Implies(s.In(Ident(z), dom), s.In(s.FnApp(f, Ident(z)), cod)),
-                    )
-                ],
+                [_forall(z, s.Implies(s.In(Ident(z), dom), s.In(s.FnApp(f, Ident(z)), cod)))],
             )
         case Neg(s.Eq(a, b)) if isinstance(a, _SET_SHAPES) or isinstance(b, _SET_SHAPES):
             z = _fresh_bound("z", a, b)
             return (
                 "extensionality",
                 "alpha",
-                [
-                    Neg(
-                        Quant(
-                            "forall",
-                            (Binder(z, None),),
-                            s.Iff(s.In(Ident(z), a), s.In(Ident(z), b)),
-                        )
-                    )
-                ],
+                [Neg(_forall(z, s.Iff(s.In(Ident(z), a), s.In(Ident(z), b))))],
             )
         case _:
             return None

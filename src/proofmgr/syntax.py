@@ -378,31 +378,31 @@ def free_identifiers(e: Expr) -> frozenset[str]:
 
 
 def _free_names(e: Expr) -> frozenset[str]:
+    out = {e.name} if type(e) in (Ident, OpApp) else set()
+    for c, bound in scoped(e):
+        out |= free_identifiers(c).difference(bound)
+    return frozenset(out)
+
+
+def scoped(e: Expr) -> Iterator[tuple[Expr, tuple[str, ...]]]:
+    """Each direct subexpression of e, in the order of ``children``, with
+    the names e binds in it: a quantifier's binders in its body, a
+    comprehension's variable in its predicate or image; none in a domain."""
     match e:
-        case Ident(name):
-            return frozenset({name})
-        case OpApp(name, args):
-            out = {name}
-            for a in args:
-                out |= free_identifiers(a)
-            return frozenset(out)
         case Quant(_, binders, body):
-            out = set(free_identifiers(body))
-            for b in binders:
-                out.discard(b.name)
             for b in binders:
                 if b.domain is not None:
-                    out |= free_identifiers(b.domain)
-            return frozenset(out)
+                    yield b.domain, ()
+            yield body, tuple(b.name for b in binders)
         case SetComp(var, domain, pred):
-            return (free_identifiers(pred) - {var}) | free_identifiers(domain)
+            yield domain, ()
+            yield pred, (var,)
         case SetImage(expr, var, domain):
-            return (free_identifiers(expr) - {var}) | free_identifiers(domain)
+            yield expr, (var,)
+            yield domain, ()
         case _:
-            out: set[str] = set()
             for c in children(e):
-                out |= free_identifiers(c)
-            return frozenset(out)
+                yield c, ()
 
 
 def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
@@ -539,62 +539,29 @@ def _alpha(a: Expr, b: Expr, env_a: dict[str, int], env_b: dict[str, int], depth
     if type(a) is not type(b):
         return False
     match a:
-        case Ident(name):
-            da, db = env_a.get(name), env_b.get(b.name)  # type: ignore[attr-defined]
-            if (da is None) != (db is None):
-                return False
-            return da == db if da is not None else name == b.name  # type: ignore[attr-defined]
-        case Bool(value):
-            return value == b.value  # type: ignore[attr-defined]
-        case OpApp(name, args):
+        case Ident(name) | OpApp(name):
             # Applied operator names are context constants; compare by the
             # same rule as identifiers.
             da, db = env_a.get(name), env_b.get(b.name)  # type: ignore[attr-defined]
-            if (da is None) != (db is None):
+            if da != db or da is None and name != b.name:  # type: ignore[attr-defined]
                 return False
-            if (da == db if da is not None else name == b.name) is False:  # type: ignore[attr-defined]
+            if type(a) is OpApp and len(a.args) != len(b.args):  # type: ignore[attr-defined]
                 return False
-            if len(args) != len(b.args):  # type: ignore[attr-defined]
+        case Bool(value):
+            return value == b.value  # type: ignore[attr-defined]
+        case Quant(kind, binders):
+            shape_b = [y.domain is None for y in b.binders]  # type: ignore[attr-defined]
+            if kind != b.kind or [x.domain is None for x in binders] != shape_b:  # type: ignore
                 return False
-            return all(
-                _alpha(x, y, env_a, env_b, depth) for x, y in zip(args, b.args)  # type: ignore[attr-defined]
-            )
-        case Quant(kind, binders, body):
-            if kind != b.kind or len(binders) != len(b.binders):  # type: ignore[attr-defined]
-                return False
-            ea, eb = dict(env_a), dict(env_b)
-            d = depth
-            for ba, bb in zip(binders, b.binders):  # type: ignore[attr-defined]
-                if (ba.domain is None) != (bb.domain is None):
-                    return False
-                if ba.domain is not None and not _alpha(ba.domain, bb.domain, env_a, env_b, depth):
-                    return False
-                ea[ba.name] = d
-                eb[bb.name] = d
-                d += 1
-            return _alpha(body, b.body, ea, eb, d)  # type: ignore[attr-defined]
-        case SetComp(var, domain, pred):
-            if not _alpha(domain, b.domain, env_a, env_b, depth):  # type: ignore[attr-defined]
-                return False
-            ea = dict(env_a)
-            eb = dict(env_b)
-            ea[var] = depth
-            eb[b.var] = depth  # type: ignore[attr-defined]
-            return _alpha(pred, b.pred, ea, eb, depth + 1)  # type: ignore[attr-defined]
-        case SetImage(expr, var, domain):
-            if not _alpha(domain, b.domain, env_a, env_b, depth):  # type: ignore[attr-defined]
-                return False
-            ea = dict(env_a)
-            eb = dict(env_b)
-            ea[var] = depth
-            eb[b.var] = depth  # type: ignore[attr-defined]
-            return _alpha(expr, b.expr, ea, eb, depth + 1)  # type: ignore[attr-defined]
-        case _:
-            ca = list(children(a))
-            cb = list(children(b))
-            if len(ca) != len(cb):
-                return False
-            return all(_alpha(x, y, env_a, env_b, depth) for x, y in zip(ca, cb))
+    for (x, bound_a), (y, bound_b) in zip(scoped(a), scoped(b)):
+        ea, eb, d = env_a, env_b, depth
+        if bound_a:  # a bound name stands for the depth of its binder
+            d += len(bound_a)
+            ea = env_a | dict(zip(bound_a, range(depth, d)))
+            eb = env_b | dict(zip(bound_b, range(depth, d)))
+        if not _alpha(x, y, ea, eb, d):
+            return False
+    return True
 
 
 # Pretty printing. Levels: 0 quantifier body, 1 <=>, 2 =>, 3 \/, 4 /\,
