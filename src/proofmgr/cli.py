@@ -73,9 +73,9 @@ class RunConfig:
     emit_traces: Optional[str] = None
     fmt: str = "text"
     out: Optional[str] = None
-    timeout_ms: int = 5000
-    depth: int = 12
-    gamma_reuse: int = 4
+    timeout_ms: int = Budget._defaults["timeout_ms"]
+    depth: int = Budget._defaults["max_depth"]
+    gamma_reuse: int = Budget._defaults["gamma_reuse"]
     local_defs_usable: bool = True
     only: Optional[str] = None
     expand_filtered: bool = True
@@ -133,6 +133,8 @@ def check_file(path: str, config: RunConfig, write) -> tuple[int, Optional[str]]
         for leaf in report.leaves:
             flag = " (omitted)" if leaf.omitted else ""
             write(f"[{leaf.id}] {leaf.path or '(root)'} {leaf.kind}{flag}\n    {leaf.filtered}\n")
+        for err in report.errors:
+            write(f"error at {err.path or '(root)'}: {err.message}\n")
     else:
         for chunk in report_chunks(report, config.fmt):
             write(chunk)
@@ -234,6 +236,17 @@ def run(config: RunConfig) -> int:
     return code
 
 
+def _positive(text: str) -> int:
+    """A budget option's value: a positive integer, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"invalid positive int value: {text!r}")
+    return value
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="proofmgr",
@@ -250,9 +263,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     check.add_argument("--emit-traces", metavar="DIR", help="write prover traces (with --prove)")
     check.add_argument("--format", choices=("text", "json"), default="text")
     check.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
-    check.add_argument("--timeout-ms", type=int, default=5000)
-    check.add_argument("--depth", type=int, default=12, help="most first-order steps on a branch")
-    check.add_argument("--gamma-reuse", type=int, default=4)
+    check.add_argument("--timeout-ms", type=_positive, default=RunConfig.timeout_ms)
+    check.add_argument(
+        "--depth", type=_positive, default=RunConfig.depth, help="most first-order steps on a branch"
+    )
+    check.add_argument("--gamma-reuse", type=_positive, default=RunConfig.gamma_reuse)
     check.add_argument(
         "--local-defs-hidden",
         action="store_true",

@@ -129,6 +129,18 @@ class TestExitCodes:
         code, _, err = run(capsys, "check", "/nonexistent/f.tla")
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--depth", "0"), ("--timeout-ms", "-1"), ("--gamma-reuse", "0"), ("--format", "xml")],
+    )
+    def test_bad_option_is_a_usage_error(self, capsys, option, value):
+        # exit 4 is kept for internal faults
+        with pytest.raises(SystemExit) as stopped:
+            main(["check", "--prove", option, value, CANTOR])
+        assert stopped.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: proofmgr check") and f"argument {option}: invalid" in err
+
     def test_failed_leaf_is_two(self, capsys, tmp_path):
         p = tmp_path / "unprovable.tla"
         p.write_text("THEOREM ASSUME NEW P, NEW Q, P PROVE Q\n<1>1. QED OBVIOUS\n")
@@ -223,6 +235,8 @@ class TestDeclarations:
         p.write_text(text)
         code, out, _ = run(capsys, "check", "--list-obligations", str(p))
         assert code == 3
+        # the listing names the step error, as the report does
+        assert "\nerror at <1>1: " in out and " is already bound\n" in out
         code, out, _ = run(capsys, "check", str(p))
         assert code == 3
         assert "MEANINGLESS" in out
