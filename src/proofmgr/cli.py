@@ -73,9 +73,9 @@ class RunConfig:
     emit_traces: Optional[str] = None
     fmt: str = "text"
     out: Optional[str] = None
-    timeout_ms: int = Budget._defaults["timeout_ms"]
-    depth: int = Budget._defaults["max_depth"]
-    gamma_reuse: int = Budget._defaults["gamma_reuse"]
+    timeout_ms: int = Budget().timeout_ms
+    depth: int = Budget().max_depth
+    gamma_reuse: int = Budget().gamma_reuse
     local_defs_usable: bool = True
     only: Optional[str] = None
     expand_filtered: bool = True
@@ -134,7 +134,7 @@ def check_file(path: str, config: RunConfig, write) -> tuple[int, Optional[str]]
             flag = " (omitted)" if leaf.omitted else ""
             write(f"[{leaf.id}] {leaf.path or '(root)'} {leaf.kind}{flag}\n    {leaf.filtered}\n")
         for err in report.errors:
-            write(f"error at {err.path or '(root)'}: {err.message}\n")
+            write(f"error at {err.path}: {err.message}\n")
     else:
         for chunk in report_chunks(report, config.fmt):
             write(chunk)

@@ -13,10 +13,10 @@ slot on each of its nodes.  String hashes are salted per process, so a node
 pickles (and copies) as its class and fields only: the cached hash,
 rendering and free names are recomputed wherever the node is loaded.
 
-Scoping: quantifiers, set comprehensions and image sets bind their binder
-names in their body only; binder domains are scoped to the enclosing context,
-so a domain that names a sibling binder reads that name from the context
-(``split_binder`` keeps this when a quantifier is taken apart).
+Scoping (``scoped``): quantifiers, set comprehensions and image sets bind
+their names in their body only; binder domains are scoped to the enclosing
+context, so a domain that names a sibling binder reads that name from the
+context (``split_binder`` keeps this when a quantifier is taken apart).
 """
 
 from __future__ import annotations
