@@ -12,12 +12,10 @@ byte-identical for a fixed configuration.  Each obligation is proved once
 per run up to a renaming of its names: ``prove`` memoises the search, each
 run starts with the prover's stores empty (``reset``), and a leaf that is
 one already searched in the run, its names renamed, gets the stored
-outcome, proved or exhausted, with the names mapped over.  A leaf is
-reported ``proved`` only when its trace replays (``replay_trace``) against
-the leaf's own sequent, reused outcomes included; a trace that does not
-replay makes the leaf ``unknown`` and is named on standard error with the
-replay's first failure.  A replay already made in the run, by ``prove`` or
-for an earlier leaf, is looked up.
+outcome, proved or exhausted, with the names mapped over.  ``prove`` gives
+a proof only once its trace has replayed against the leaf's own entries,
+reused outcomes included; a trace that does not replay makes the leaf
+``unknown``, and standard error names it with the replay's first failure.
 
 A file's leaves are prepared (filtered and expanded) through one table of
 expansions, so a context prefix they share is expanded once.  All but the
@@ -48,7 +46,6 @@ from .prover import (
     Proved,
     Unknown,
     prove,
-    replay_trace,
     reset,
     sequent_from_obligation,
 )
@@ -93,18 +90,16 @@ class RunConfig:
 
 
 def _prove_leaf(sequent, budget: Budget):
-    """(outcome, millis, trace if proved, replay error) of one leaf."""
+    """(outcome, millis, trace if proved, replay failure) of one leaf."""
     start = perf_counter()
     outcome = prove(sequent, budget)
     millis = (perf_counter() - start) * 1000.0
     match outcome:
         case Proved(trace):
-            replay = replay_trace(sequent, trace)
-            if not replay.ok:
-                return "unknown", millis, None, replay.error
             return "proved", millis, trace, None
         case Unknown(reason, _):
-            return "unknown", millis, None, None
+            failure = reason if reason.startswith("trace does not replay") else None
+            return "unknown", millis, None, failure
         case Malformed(reason):
             return "malformed", millis, None, None
     raise AssertionError
@@ -185,16 +180,13 @@ def _report(path: str, config: RunConfig) -> Union[int, tuple]:
             if record.omitted or not _selected(".".join(record.path), config.only):
                 continue
             sequent = sequent_from_obligation(prepared[idx])
-            outcome, millis, trace, replay_error = _prove_leaf(sequent, config.budget())
+            outcome, millis, trace, failure = _prove_leaf(sequent, config.budget())
             outcomes[idx] = (outcome, millis if config.timings else None)
             if trace is not None and config.emit_traces:
                 traces[idx] = trace
-            if replay_error is not None:
+            if failure is not None:
                 leaf = ".".join(record.path) or "(root)"
-                print(
-                    f"{path}: leaf {leaf}: trace does not replay: {replay_error}",
-                    file=sys.stderr,
-                )
+                print(f"{path}: leaf {leaf}: {failure}", file=sys.stderr)
 
     report = build_report(
         theorem.name,
@@ -215,7 +207,7 @@ def _report(path: str, config: RunConfig) -> Union[int, tuple]:
 
 def run(config: RunConfig) -> int:
     # the prover's stores live as long as the process; a run starts them
-    # empty, so that each run searches and replays its own obligations
+    # empty, so that each run searches its own obligations
     reset()
     embedded: list[str] = []
     code = 0

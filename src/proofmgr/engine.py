@@ -15,11 +15,12 @@ negated-goal assumption for the steps of the theorem's top-level sequence
 only (a claim checked directly always receives it).
 
 Every declaration follows one rule (``_declare``): a NEW item of a goal
-form, a TAKE or PICK binder, a DEFINE and a step label may not reuse a name
-the context binds, nor one the same step declared earlier.  Such a step is
-meaningless; the checker renames nothing.  Only the top level of the context
-counts, so a name declared inside a labelled assertion, which lives on only
-in the label's definition, may be declared again by a later step.
+form, a TAKE or PICK binder, a DEFINE's name and parameters and a step
+label may not reuse a name the context binds, nor one the same step
+declared earlier.  Such a step is meaningless; the checker renames nothing.
+Only the top level of the context counts, so a name declared inside a
+labelled assertion, which lives on only in the label's definition, may be
+declared again by a later step.
 
 After a meaningless step, checking continues with the unrefined obligation so
 that several errors can be reported in one run.
@@ -149,10 +150,10 @@ def derivation_errors(d: Derivation) -> list[StepError]:
 
 
 def _declare(name: str, binds: set[str]) -> None:
-    """The declaration rule: a step may declare a name (NEW, TAKE, PICK,
-    DEFINE or a step label) only if no assumption of the context binds it
-    and the step has not declared it already.  binds holds the names in
-    scope and takes the new one."""
+    """The declaration rule: a step may declare a name (NEW, TAKE, PICK, a
+    DEFINE's name or parameter, or a step label) only if no assumption of
+    the context binds it and the step has not declared it already.  binds
+    holds the names in scope and takes the new one."""
     if name in binds:
         raise DuplicateName(f"{name} is already bound")
     binds.add(name)
@@ -406,7 +407,9 @@ class _Checker:
 
     def _define(self, token, body: DefineStep, obl, spath) -> StepOutcome:
         binds = context_binds(obl.context)
-        _declare(body.name, set(binds))
+        declared = set(binds)
+        for name in (body.name, *body.params):
+            _declare(name, declared)
         _require_closed(body.body, binds | set(body.params), "definition body", spath, obl)
         definable: Union[Obligation, Lambda]
         if body.params:

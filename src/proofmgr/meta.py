@@ -496,11 +496,14 @@ def expand_all_usable(
     prefix thus expand it once and get the very same expanded objects."""
     shared = {} if shared is None else shared
     defs: dict[str, Union[Obligation, Lambda]] = {}
+    # each usable definition's position in the context: an assumption's
+    # free names are looked up, and expanded in context order
+    order: dict[str, int] = {}
     ctx: list[Assumption] = []
     for h in o.context:
         if defs and not isinstance(h, New):
             free = h.definable.free if isinstance(h, Def) else h.obligation.free
-            names = [n for n in defs if n in free]
+            names = sorted((n for n in free if n in defs), key=order.__getitem__)
             if names:
                 used = tuple(defs[n] for n in names)
                 key = (id(h), *names, *map(id, used))
@@ -514,9 +517,9 @@ def expand_all_usable(
         ctx.append(h)
         if isinstance(h, Def) and not h.hidden:
             defs[h.name] = h.definable
+            order.setdefault(h.name, len(order))
     goal = o.goal
-    free = free_identifiers(goal)
-    for name in [n for n in defs if n in free]:
+    for name in sorted((n for n in free_identifiers(goal) if n in defs), key=order.__getitem__):
         goal = _expand_expr(goal, name, defs[name])
     o = Obligation(tuple(ctx), goal)
     if not drop_unused:

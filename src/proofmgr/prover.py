@@ -52,23 +52,26 @@ and in its pool, since only congruence makes different heads equal.  A trace
 line keeps the formulas it introduces as resolved when its rule fired, and
 its text is rendered once, for a search that succeeds.
 
-``prove`` memoises the search per process on the obligation's class up to
-a renaming of its names: the shape of each initial entry (each free name
-replaced by its index in order of first occurrence, bound names kept), how
-the entries' names link, and the budget.  The first obligation of a class
-is searched under its own names; a later one gets the stored outcome with
-the names mapped over, and a mapped trace is replayed against its own
-sequent before it is given.  The search makes the same choices under a
-renaming, except the names it gives bound variables (``z`` or a bound
-name, with any digits after it), which avoid the names that occur; so an
-obligation whose renaming moves such a name is searched itself, as is one
-whose mapped trace does not replay.  A timeout is never stored.
+``prove`` gives a proof only once it has replayed: a search's trace is
+replayed against the entries searched before the outcome is stored, and a
+trace that does not replay makes the outcome ``Unknown``, its reason the
+replay's first failure.  ``prove`` memoises the search per process on the
+obligation's class up to a renaming of its names: the shape of each
+initial entry (each free name replaced by its index in order of first
+occurrence, bound names kept), how the entries' names link, and the
+budget.  The first obligation of a class is searched under its own names;
+a later one with the same names and entries gets the stored outcome, and
+one under other names gets it with the names mapped over, a mapped trace
+replayed against its own entries before it is given.  The search makes the
+same choices under a renaming, except the names it gives bound variables
+(``z`` or a bound name, with any digits after it), which avoid the names
+that occur; so an obligation whose renaming moves such a name is searched
+itself, as is one whose mapped trace does not replay.  A timeout is never
+stored.
 
-Replay is memoised on the exact (initial entries, trace), failures
-included, so a run replays each pair once, whether ``prove`` asks for it
-or the CLI.  A formula's normal form, shape and expansion are memoised
-too, for every tableau it occurs in, and its free names are kept on the
-term.  The CLI empties every such store at the start of each run (``reset``).
+A formula's normal form, shape and expansion are memoised too, for every
+tableau it occurs in, and its free names are kept on the term.  The CLI
+empties every such store at the start of each run (``reset``).
 """
 
 from __future__ import annotations
@@ -1079,11 +1082,10 @@ def _rename_trace(trace: str, mapping: dict[str, str]) -> str:
 
 class _Memo:
     """The outcomes of the searches made, keyed by their class up to a
-    renaming of the names (``_class_of``), each stored with the names it
-    was searched under; and the results of the replays made, keyed by the
-    exact (initial entries, trace).  ``hits`` counts the outcomes given
-    from it, ``misses`` the searches made; it keeps the latest ``size``
-    outcomes and replay results."""
+    renaming of the names (``_class_of``), each stored with the names and
+    the initial entries it was searched from.  ``hits`` counts the outcomes
+    given from it, ``misses`` the searches made; it keeps the latest
+    ``size`` outcomes."""
 
     size = 1024
 
@@ -1091,26 +1093,24 @@ class _Memo:
         self.clear()
 
     def clear(self) -> None:
-        self.stored: dict[tuple, tuple[tuple[str, ...], ProverOutcome]] = {}
-        self.replayed: dict[tuple, ReplayResult] = {}
+        self.stored: dict[tuple, tuple[tuple[str, ...], tuple[Expr, ...], ProverOutcome]] = {}
         self.hits = 0
         self.misses = 0
 
-    def store(self, key: tuple, names: tuple[str, ...], outcome: ProverOutcome) -> None:
-        self.keep(self.stored, key, (names, outcome))
-
-    def keep(self, table: dict, key: tuple, value) -> None:
-        if len(table) >= self.size:
-            del table[next(iter(table))]
-        table[key] = value
+    def store(
+        self, key: tuple, names: tuple[str, ...], initial: tuple[Expr, ...], outcome: ProverOutcome
+    ) -> None:
+        if len(self.stored) >= self.size:
+            del self.stored[next(iter(self.stored))]
+        self.stored[key] = (names, initial, outcome)
 
 
 _memo = _Memo()
 
 
 def reset() -> None:
-    """Empty every per-run store: the search outcomes and replay results
-    (``_memo``) and the per-formula memos."""
+    """Empty every per-run store: the search outcomes (``_memo``) and the
+    per-formula memos."""
     _memo.clear()
     for cache in (normalize, _fingerprint, _expansion):
         cache.cache_clear()
@@ -1118,13 +1118,13 @@ def reset() -> None:
 
 def _reuse(stored, names: tuple[str, ...], initial: tuple[Expr, ...]) -> Optional[ProverOutcome]:
     """The stored outcome of a search of the same class, for the search
-    from initial under its names: as stored when the names are the same;
-    else with the names mapped over, a trace only when it replays against
-    initial; None when the names cannot be mapped or the trace does not
-    replay."""
-    searched, outcome = stored
+    from initial under its names: as stored when the names and the entries
+    are the same; else with the names mapped over, a trace only when it
+    replays against initial; None when the entries differ under the same
+    names, the names cannot be mapped or the trace does not replay."""
+    searched, entries, outcome = stored
     if searched == names:
-        return outcome
+        return outcome if entries == initial else None
     mapping = _renaming(searched, names, initial)
     if mapping is None:
         return None
@@ -1137,12 +1137,12 @@ def _reuse(stored, names: tuple[str, ...], initial: tuple[Expr, ...]) -> Optiona
 def prove(sequent: Sequent, budget: Budget = Budget()) -> ProverOutcome:
     """Attempt to close a tableau for the sequent within the budget.
 
-    The search is memoised (``_memo``) on its class up to a renaming of its
-    names, so an obligation that is one already searched in this process,
-    its names renamed, gets the stored outcome with the names mapped over.
-    A renamed proof is replayed against this sequent before it is given,
-    and the obligation is searched when the replay fails.  A timeout is
-    never stored: the next obligation of its class is searched again."""
+    A proof is given only once its trace has replayed against the sequent's
+    initial entries; a searched trace that does not replay gives ``Unknown``
+    with the replay's first failure.  The search is memoised (``_memo``) on
+    its class up to a renaming of its names, and the obligation is searched
+    when a renamed proof does not replay.  A timeout is never stored: the
+    next obligation of its class is searched again."""
     initial = sequent.start
     if isinstance(initial, str):
         return Malformed(initial)
@@ -1158,8 +1158,12 @@ def prove(sequent: Sequent, budget: Budget = Budget()) -> ProverOutcome:
         outcome = _search(initial, budget)
     except _Timeout as timeout:
         return Unknown("timeout", timeout.args[0])
+    if isinstance(outcome, Proved):
+        replay = _replay(initial, outcome.trace)
+        if not replay.ok:
+            outcome = Unknown(f"trace does not replay: {replay.error}")
     if stored is None:
-        _memo.store(key, names, outcome)
+        _memo.store(key, names, initial, outcome)
     return outcome
 
 
@@ -1181,19 +1185,7 @@ def replay_trace(sequent: Sequent, trace: str) -> ReplayResult:
 
 
 def _replay(initial: tuple[Expr, ...], trace: str) -> ReplayResult:
-    """``replay_trace`` from the initial entries of a sequent, run once per
-    run for each exact (initial, trace): its result, failed or not, is
-    kept in ``_memo``."""
-    key = (initial, trace)
-    result = _memo.replayed.get(key)
-    if result is None:
-        result = _replayed(initial, trace)
-        _memo.keep(_memo.replayed, key, result)
-    return result
-
-
-def _replayed(initial: tuple[Expr, ...], trace: str) -> ReplayResult:
-    """The replay itself: ``_replay`` without the store."""
+    """``replay_trace`` from the initial entries of a sequent."""
     t = _Tableau(initial)
     stack: list[list[int]] = [list(range(len(t.entries)))]
     skolems: set[str] = set()

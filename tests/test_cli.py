@@ -53,16 +53,15 @@ RENAMED_TWICE = r"""THEOREM Twice == TRUE
 
 
 def count_replays(monkeypatch) -> list:
-    """The (initial entries, trace) of every replay really run from now on,
-    not given from the store."""
+    """The (initial entries, trace) of every replay run from now on."""
     replayed = []
-    body = prover._replayed
+    body = prover._replay
 
     def counted(initial, trace):
         replayed.append((initial, trace))
         return body(initial, trace)
 
-    monkeypatch.setattr(prover, "_replayed", counted)
+    monkeypatch.setattr(prover, "_replay", counted)
     return replayed
 
 
@@ -154,11 +153,11 @@ class TestExitCodes:
         p = tmp_path / "one.tla"
         p.write_text("THEOREM ASSUME NEW P, NEW Q, P /\\ Q PROVE Q\n<1>1. QED OBVIOUS\n")
 
-        def prove_without_last_line(sequent, budget):
-            out = prove(sequent, budget)
+        def search_without_last_line(initial, budget):
+            out = _search(initial, budget)
             return Proved("".join(out.trace.splitlines(keepends=True)[:-1]))
 
-        monkeypatch.setattr(cli, "prove", prove_without_last_line)
+        monkeypatch.setattr(prover, "_search", search_without_last_line)
         code, out, err = run(capsys, "check", str(p), "--prove", "--format", "json")
         assert code == 2
         assert [l["outcome"] for l in json.loads(out)["leaves"]] == ["unknown"]
@@ -227,8 +226,11 @@ class TestDeclarations:
             # a binder the context declares; y's bound would read the outer x
             "THEOREM ASSUME NEW x, NEW S, NEW P PROVE \\A x \\in S, y \\in S : P\n"
             "<1>1. TAKE x \\in S, y \\in x\n<1>2. QED OBVIOUS\n",
+            # a DEFINE parameter the context declares
+            "THEOREM ASSUME NEW x, NEW S PROVE TRUE\n"
+            "<1>1. DEFINE F(x) == x \\in S\n<1>2. QED OBVIOUS\n",
         ],
-        ids=["pick-repeated", "take-repeated", "take-declared"],
+        ids=["pick-repeated", "take-repeated", "take-declared", "define-parameter"],
     )
     def test_redeclaration_is_three(self, capsys, tmp_path, text):
         p = tmp_path / "redeclared.tla"
@@ -426,20 +428,25 @@ class TestDeterminism:
 
 class TestProveOncePerRun:
     def test_every_proved_leaf_is_replayed(self, capsys, monkeypatch):
-        replays = []
+        replayed = count_replays(monkeypatch)
+        proved = []
 
-        def counted(sequent, trace):
-            replays.append(sequent)
-            return prover.replay_trace(sequent, trace)
+        def recorded(sequent, budget):
+            out = prove(sequent, budget)
+            if isinstance(out, Proved):
+                proved.append((_initial(sequent), out.trace))
+            return out
 
-        monkeypatch.setattr(cli, "replay_trace", counted)
+        monkeypatch.setattr(cli, "prove", recorded)
         files = [str(p) for p in sorted(DATA.glob("**/*.tla"))]
         code, out, _ = run(capsys, "check", "--prove", "--format", "json", *files)
         assert code == 0
-        proved = out.count('"outcome": "proved"')
         memo = prover._memo
         assert memo.hits > 0
-        assert len(replays) == proved == memo.hits + memo.misses == 61
+        assert len(proved) == out.count('"outcome": "proved"') == memo.hits + memo.misses == 61
+        # each proof given was replayed against entries equal to its own
+        assert set(proved) <= set(replayed)
+        assert len(replayed) == 33
 
     def test_each_run_starts_with_an_empty_memo(self, capsys, monkeypatch):
         replayed = count_replays(monkeypatch)
@@ -452,29 +459,31 @@ class TestProveOncePerRun:
             caches = [f.cache_info() for f in stores]
             infos.append((memo.hits, memo.misses, len(memo.stored), len(replayed), caches))
         # an earlier run's entries would turn the second run's misses into
-        # hits and its replays into lookups
+        # hits, and spare their replays
         assert infos[0] == infos[1] and infos[0][1] > 0 and infos[0][3] > 0
 
-    def test_each_replay_runs_once_per_run(self, capsys, monkeypatch, tmp_path):
+    def test_the_cli_makes_no_replay_of_its_own(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "twice.tla"
         path.write_text(RENAMED_TWICE)
-        asked = []
-
-        def counted(sequent, trace):
-            asked.append((_initial(sequent), trace))
-            return prover.replay_trace(sequent, trace)
-
-        monkeypatch.setattr(cli, "replay_trace", counted)
         replayed = count_replays(monkeypatch)
+        per_leaf = []
+
+        def counted(sequent, budget):
+            before = len(replayed)
+            out = prove(sequent, budget)
+            per_leaf.append(len(replayed) - before)
+            return out
+
+        monkeypatch.setattr(cli, "prove", counted)
         code, out, _ = run(capsys, "check", str(path), "--prove", "--format", "json")
-        assert code == 0
-        # every proved leaf is still replayed by the CLI
-        assert len(asked) == out.count('"outcome": "proved"') == 5
+        assert code == 0 and out.count('"outcome": "proved"') == 5
+        assert not hasattr(cli, "replay_trace")
         assert (prover._memo.hits, prover._memo.misses) == (3, 2)
-        # prove replays the renamed proofs of leaves 2 and 4, which are one;
-        # the CLI's replays of leaves 2 to 4 are lookups
-        assert len(replayed) == len(set(replayed)) == 3
-        assert set(replayed) == set(asked)
+        # every replay is made by prove: the searches of leaves 1 and 5 and
+        # the renamed proofs of leaves 2 and 4, which are one pair; leaf 3
+        # is leaf 1 exactly
+        assert per_leaf == [1, 1, 0, 1, 1] and sum(per_leaf) == len(replayed) == 4
+        assert len(set(replayed)) == 3
 
     def test_reversed_file_order_gives_the_same_reports(self):
         want = dict(

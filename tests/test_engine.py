@@ -155,6 +155,19 @@ class TestDefine:
         with pytest.raises(DuplicateName):
             transform_step(TOK, DefineStep("T", (), pe("Ghost")), o)
 
+    def test_parameter_that_reuses_a_bound_name_rejected(self):
+        # a parameter is declared like the name: against the context, and
+        # against the names the same step declared before it
+        assert rejection(
+            "THEOREM ASSUME NEW x, NEW S PROVE TRUE\n"
+            "<1>1. DEFINE F(x) == x \\in S\n"
+            "<1>2. QED OBVIOUS\n"
+        ) == ("<1>1", "x is already bound")
+        o = obl([New("S")], "TRUE")
+        for params in (("F",), ("y", "y")):
+            with pytest.raises(DuplicateName):
+                transform_step(TOK, DefineStep("F", params, pe(r"S \in S")), o)
+
 
 class TestHave:
     def test_have_splits_implication(self):

@@ -1,7 +1,6 @@
 """Tableau prover: propositional and first-order search, equality, set
 rules, trace replay, budgets."""
 
-import functools
 import pickle
 import random
 import re
@@ -1045,59 +1044,31 @@ class TestMemo:
         assert isinstance(prove(seq, Budget()), Proved)
         assert len(prover._memo.stored) == 1
 
+    def test_prove_gives_no_proof_that_does_not_replay(self, monkeypatch):
+        search = prover._search
 
-@functools.cache
-def replay_bases() -> list[tuple[tuple, str]]:
-    """(initial entries, trace) of the proof of every distinct corpus leaf
-    and of an equality chain to each set shape."""
-    seqs = [seq for _, _, _, seq in corpus_sequents()]
-    for shape, extra, goal in CHAIN_SHAPES.values():
-        hyps = ("X0 = X1", f"X1 = {shape}", r"c \in X0", *extra)
-        seqs.append(Sequent((), tuple(map(pe, hyps)), pe(goal)))
-    bases = {(_initial(seq), proved(seq, Budget()).trace) for seq in seqs}
-    return sorted(bases, key=lambda b: (len(b[1]), b[1]))
+        def search_without_last_line(initial, budget):
+            out = search(initial, budget)
+            return Proved("".join(out.trace.splitlines(keepends=True)[:-1]))
 
+        monkeypatch.setattr(prover, "_search", search_without_last_line)
+        a = Sequent(("P", "Q"), (pe("P"), pe("P => Q")), pe("Q"))
+        b = rename_sequent(a, {"P": "R"})
+        failed = Unknown("trace does not replay: 1 branch(es) left open")
+        assert prove(a) == failed
+        # the outcome stored is the failure, and a renamed leaf gets it
+        assert prove(b) == failed
+        assert (prover._memo.hits, prover._memo.misses) == (1, 1)
 
-@st.composite
-def replay_jobs(draw):
-    """(initial entries, trace) pairs to replay in turn: proofs, against
-    their own entries or another proof's, with a line dropped, altered or
-    swapped with another, some pairs repeated, in any order."""
-    bases = replay_bases()
-    pick = st.integers(0, len(bases) - 1)
-    jobs = []
-    for _ in range(draw(st.integers(1, 5))):
-        initial, trace = bases[draw(pick)]
-        if draw(st.integers(0, 3)) == 0:
-            trace = bases[draw(pick)][1]
-        lines = trace.splitlines(keepends=True)
-        k = draw(st.integers(0, len(lines) - 1))
-        how = draw(st.sampled_from(["keep", "drop", "alter", "swap"]))
-        if how == "drop":
-            del lines[k]
-        elif how == "alter":
-            fields = lines[k].rstrip("\n").split("\t")
-            f = draw(st.integers(0, len(fields) - 1))
-            fields[f] = str(int(fields[f]) + 1) if fields[f].isdigit() else fields[f] + "x"
-            lines[k] = "\t".join(fields) + "\n"
-        elif how == "swap":
-            j = draw(st.integers(0, len(lines) - 1))
-            lines[k], lines[j] = lines[j], lines[k]
-        jobs.append((initial, "".join(lines)))
-    jobs += [jobs[r] for r in draw(st.lists(st.integers(0, len(jobs) - 1), max_size=5))]
-    return draw(st.permutations(jobs))
-
-
-class TestReplayStore:
-    # the store lives through every example: results are kept from earlier
-    # examples, in other orders
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(replay_jobs())
-    def test_a_kept_replay_equals_an_uncached_one(self, jobs):
-        for initial, trace in jobs:
-            got = prover._replay(initial, trace)
-            assert got == prover._replayed(initial, trace), trace
-            assert (initial, trace) in prover._memo.replayed
+    def test_a_reuse_under_the_same_names_checks_the_entries(self, monkeypatch):
+        # two sequents under the same names put in one class: the second
+        # gets no outcome of the first, which its entries do not equal
+        monkeypatch.setattr(prover, "_class_of", lambda initial, budget: ("one", ("P", "Q")))
+        a = Sequent(("P", "Q"), (pe("P"), pe("P => Q")), pe("Q"))
+        b = Sequent(("P", "Q"), (pe("Q"),), pe("P"))
+        assert isinstance(prove(a), Proved)
+        assert prove(b) == _search(_initial(b), Budget())
+        assert (prover._memo.hits, prover._memo.misses) == (0, 2)
 
 
 # Images for the names of a sequent that no rule gives a bound variable
@@ -1191,8 +1162,8 @@ class TestRenaming:
         z = rename_sequent(a, {"S": "z"})
         first = proved(a)
         # the subseteq rule's bound variable z avoids the constant z, so the
-        # renamed trace is not even tried
-        monkeypatch.setattr(prover, "_replay", None)
+        # trace is not even renamed
+        monkeypatch.setattr(prover, "_rename_trace", None)
         second = proved(z)
         assert (prover._memo.hits, prover._memo.misses) == (0, 2)
         assert r"2:~(\A z1 : z1 \in z => z1 \in T)" in second.trace
@@ -1202,7 +1173,7 @@ class TestRenaming:
         a = Sequent(("P", "Q"), (pe("P"), pe("P => Q")), pe("Q"))
         b = rename_sequent(a, {"P": "R"})
         key, names = _class_of(_initial(a), BIG)
-        prover._memo.store(key, names, Proved("close-false\t0\n"))
+        prover._memo.store(key, names, _initial(a), Proved("close-false\t0\n"))
         assert prove(b, BIG) == _search(_initial(b), BIG)
         assert (prover._memo.hits, prover._memo.misses) == (0, 1)
 
