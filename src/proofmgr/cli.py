@@ -4,8 +4,8 @@
 
 Exit codes: 0 the theorem is PROVED (or CHECKED in a structure-only run),
 1 INCOMPLETE, 2 FAILED (some leaf not proved), 3 MEANINGLESS, a parse
-error or an ill-formed theorem, 4 internal error.  With several files the
-worst exit code wins.
+error (a file that is not UTF-8 included) or an ill-formed theorem, 4
+internal error.  With several files the worst exit code wins.
 
 Leaves are proved one after another in derivation order, so output is
 byte-identical for a fixed configuration.  Each obligation is proved once
@@ -144,6 +144,13 @@ def _report(path: str, config: RunConfig) -> Union[int, tuple]:
     except OSError as err:
         print(f"{path}: {err}", file=sys.stderr)
         return 4
+    except UnicodeDecodeError as err:
+        # the bytes before the first bad one decode; its line and column
+        # are counted as the parser counts them, in the text as read
+        before = err.object[: err.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        line, col = before.count("\n") + 1, len(before) - before.rfind("\n")
+        print(f"{path}: parse error: {line}:{col}: not valid UTF-8", file=sys.stderr)
+        return 3
     try:
         theorem = parse_theorem(text)
         checked = check_theorem(theorem, local_defs_usable=config.local_defs_usable)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from helpers import cantor_text
-from proofmgr import cli, prover
+from proofmgr import cli, prover, tableau
 from proofmgr.cli import main
 from proofmgr.engine import check_theorem
 from proofmgr.meta import embed, filter_obligation, render_obligation
@@ -16,12 +16,12 @@ from proofmgr.prover import (
     Budget,
     Proved,
     _class_of,
-    _initial,
     _search,
     prove,
     sequent_from_obligation,
 )
 from proofmgr.report import prepared_obligation
+from proofmgr.tableau import _initial
 from test_report_manifest import MANIFEST, report_bytes
 
 DATA = Path(__file__).parent / "data"
@@ -123,6 +123,17 @@ class TestExitCodes:
         code, _, err = run(capsys, "check", str(p))
         assert code == 3
         assert "parse error" in err
+
+    def test_file_not_utf8_is_three_and_the_run_goes_on(self, capsys, tmp_path):
+        # a CRLF and a two-byte character before the bad byte: its line and
+        # column are counted as the parser counts them, in the text as read
+        ok = str(DATA / "corpus" / "true_qed.tla")
+        bad = tmp_path / "bad.tla"
+        bad.write_bytes(b"THEOREM T == TRUE\r\n\xc3\xa9 \xff<1>1. QED OBVIOUS\n")
+        code, out, err = run(capsys, "check", "--prove", ok, str(bad), ok)
+        assert code == 3
+        assert err == f"{bad}: parse error: 2:3: not valid UTF-8\n"
+        assert out.count("theorem Truth: PROVED\n") == 2
 
     def test_missing_file_is_four(self, capsys):
         code, _, err = run(capsys, "check", "/nonexistent/f.tla")
@@ -455,7 +466,7 @@ class TestProveOncePerRun:
             replayed.clear()
             run(capsys, "check", CANTOR, "--prove")
             memo = prover._memo
-            stores = (prover.normalize, prover._fingerprint, prover._expansion)
+            stores = (tableau.normalize, prover._fingerprint, tableau._expansion)
             caches = [f.cache_info() for f in stores]
             infos.append((memo.hits, memo.misses, len(memo.stored), len(replayed), caches))
         # an earlier run's entries would turn the second run's misses into

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import DATA, rand_expr, rand_prop_sequent, rand_term, truth_table_valid
-from proofmgr import prover
+from proofmgr import prover, tableau
 from proofmgr.engine import check_theorem
 from proofmgr.parser import parse_expression as pe, parse_theorem
 from proofmgr.report import prepared_obligation
@@ -20,19 +20,21 @@ from proofmgr.prover import (
     Sequent,
     Unknown,
     check_trace,
-    normalize,
     prove,
     replay_trace,
     sequent_from_obligation,
-    _ATOMS,
     _Search,
+    _class_of,
+    _search,
+)
+from proofmgr.tableau import (
+    normalize,
+    _ATOMS,
     _Subst,
     _Tableau,
-    _class_of,
     _complements,
     _ground,
     _initial,
-    _search,
 )
 from proofmgr.meta import Def, New, Obligation, fact
 from proofmgr.syntax import (
@@ -98,12 +100,12 @@ class TestNormalization:
         e = rand_expr(random.Random(seed), ["a", "b", "S", "f"], depth)
         got = normalize(e)
         # the plain function, its recursion included, with the cache bypassed
-        memoised = prover.normalize
-        prover.normalize = memoised.__wrapped__
+        memoised = tableau.normalize
+        tableau.normalize = memoised.__wrapped__
         try:
             want = memoised.__wrapped__(e)
         finally:
-            prover.normalize = memoised
+            tableau.normalize = memoised
         assert got == want
         # an equal term built again gets the very same normal form
         assert normalize(rand_expr(random.Random(seed), ["a", "b", "S", "f"], depth)) is got
@@ -368,7 +370,7 @@ class TestSetRuleTable:
         ],
     )
     def test_expansion(self, formula, expected):
-        exp = prover._expansion(normalize(pe(formula)))
+        exp = tableau._expansion(normalize(pe(formula)))
         if expected is None:
             assert exp is None
         else:
@@ -447,7 +449,7 @@ class TestNodeLabels:
     def test_congruence_through_applications(self, template, congruent):
         # a = b, T(a) = c, T(b) = d: c = d when congruence goes through T
         ta, tb = template.format("a", "a"), template.format("b", "b")
-        cc = prover._Congruence(
+        cc = tableau._Congruence(
             [(pe("a"), pe("b")), (pe(ta), pe("c")), (pe(tb), pe("d"))]
         )
         assert cc.equal(pe("c"), pe("d")) is congruent
@@ -467,7 +469,7 @@ class TestNodeLabels:
         ],
     )
     def test_equal_atom(self, x, y, equal):
-        cc = prover._Congruence([(pe("a"), pe("b"))])
+        cc = tableau._Congruence([(pe("a"), pe("b"))])
         assert cc.equal_atom(pe(x), pe(y)) is equal
 
 
@@ -853,12 +855,12 @@ class TestTableauFacts:
 
         def check(m):
             for i, e in enumerate(t.entries):
-                assert t.keys[i] == prover._keys(fresh(e))
+                assert t.keys[i] == tableau._keys(fresh(e))
                 _, form, ground, _ = t._view(i)
                 assert form == rebuild(m, e)
                 assert free_identifiers(form) == free_identifiers(fresh(form))
                 assert ground == _ground(fresh(form))
-                assert t._expansion_of(i) == prover._expansion.__wrapped__(fresh(form))
+                assert t._expansion_of(i) == tableau._expansion.__wrapped__(fresh(form))
 
         check({})
         for name in subst.trail:
