@@ -5,7 +5,7 @@
 Exit codes: 0 the theorem is PROVED (or CHECKED in a structure-only run),
 1 INCOMPLETE, 2 FAILED (some leaf not proved), 3 MEANINGLESS, a parse
 error (a file that is not UTF-8 included) or an ill-formed theorem, 4
-internal error.  With several files the worst exit code wins.
+internal or I/O error.  With several files the worst exit code wins.
 
 Leaves are proved one after another in derivation order, so output is
 byte-identical for a fixed configuration.  Each obligation is proved once
@@ -17,10 +17,15 @@ a proof only once its trace has replayed against the leaf's own entries,
 reused outcomes included; a trace that does not replay makes the leaf
 ``unknown``, and standard error names it with the replay's first failure.
 
-A file's leaves are prepared (filtered and expanded) through one table of
-expansions, so a context prefix they share is expanded once.  All but the
-file's report is freed before its text is rendered, where memory peaks, and
-the text is written out before the next file is checked.
+A file's leaves are prepared (filtered and expanded) through one table: it
+keeps each expanded assumption and the state after each context prefix the
+leaves share, so that a leaf walks only the items it adds.  The derivation
+is freed once the file is checked, the table once its leaves are prepared,
+and all but the file's report before its text is rendered, where memory
+peaks; the text is written out before the next file is checked.  An output
+path that cannot be written is an I/O error (exit 4, the path and the
+error on standard error); with ``--emit-traces``, the run goes on with the
+next file.
 
 With several files, ``--emit-traces DIR`` writes each file's traces to its
 own subdirectory ``DIR/<position>-<stem>`` (position from 0 in the argument
@@ -37,7 +42,7 @@ from pathlib import Path
 from time import perf_counter
 from typing import Optional, Union
 
-from .engine import check_theorem
+from .engine import CheckedTheorem, check_theorem
 from .meta import MetaError
 from .parser import ParseError, parse_theorem
 from .prover import (
@@ -163,10 +168,15 @@ def _report(path: str, config: RunConfig) -> Union[int, tuple]:
 
     for warning in checked.warnings:
         print(f"{path}: warning: {warning}", file=sys.stderr)
+    # only the leaves and the errors are reported: the derivation, which
+    # holds every step's obligations, is freed before the leaves are prepared
+    checked = CheckedTheorem(
+        theorem, checked.root, None, checked.records, checked.errors, checked.warnings
+    )
 
     # the prover, the report and the embeddings share one prepared
-    # obligation per leaf, and the leaves one table of expansions, which is
-    # freed once they are prepared
+    # obligation per leaf, and the leaves one table (prepared_obligation),
+    # which is freed once they are prepared
     prepared = []
     shared: dict = {}
     for record in checked.records:
@@ -201,13 +211,18 @@ def _report(path: str, config: RunConfig) -> Union[int, tuple]:
         outcomes,
         expand_filtered=config.expand_filtered,
         prepared=prepared,
+        full=config.fmt == "json" and not config.list_obligations,
     )
 
     if config.emit_traces:
         trace_dir = Path(config.emit_traces)
-        trace_dir.mkdir(parents=True, exist_ok=True)
-        for idx, trace in traces.items():
-            (trace_dir / f"leaf-{idx}.trace").write_text(trace, encoding="utf-8")
+        try:
+            trace_dir.mkdir(parents=True, exist_ok=True)
+            for idx, trace in traces.items():
+                (trace_dir / f"leaf-{idx}.trace").write_text(trace, encoding="utf-8")
+        except OSError as err:
+            print(f"{trace_dir}: {err}", file=sys.stderr)
+            return 4
     embeddings = write_embeddings(prepared) if config.emit_embeddings else None
     return report, embeddings
 
@@ -220,7 +235,12 @@ def run(config: RunConfig) -> int:
     code = 0
     # each file's report is written once the file is checked, chunk by
     # chunk, so that no more than a chunk of its text is held
-    with open(config.out, "w", encoding="utf-8") if config.out else nullcontext(sys.stdout) as out:
+    try:
+        sink = open(config.out, "w", encoding="utf-8") if config.out else nullcontext(sys.stdout)
+    except OSError as err:
+        print(f"{config.out}: {err}", file=sys.stderr)
+        return 4
+    with sink as out:
         for position, path in enumerate(config.paths):
             file_config = config
             if config.emit_traces and len(config.paths) > 1:
@@ -231,7 +251,11 @@ def run(config: RunConfig) -> int:
             if embeddings is not None:
                 embedded.append(embeddings)
     if embedded:
-        Path(config.emit_embeddings).write_text("".join(embedded), encoding="utf-8")
+        try:
+            Path(config.emit_embeddings).write_text("".join(embedded), encoding="utf-8")
+        except OSError as err:
+            print(f"{config.emit_embeddings}: {err}", file=sys.stderr)
+            return 4
     return code
 
 

@@ -14,12 +14,15 @@ assumption can be kept in a table passed in, done once per distinct object
 while the table lives: the twin a visibility change makes (one table per
 checked theorem), its expansion (one per file) and its rendering and
 embedding (one per report).  A table is keyed on object identities and holds
-the objects, so that no identity is reused while it lives.
+the objects, so that no identity is reused while it lives.  Filtering and
+expansion also keep, in the file's table, their state after the context
+prefixes the leaves share (``_prefixed``), so that each leaf walks only the
+items it adds to a prefix already walked.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Optional, Union
 
 from .syntax import (
@@ -30,7 +33,6 @@ from .syntax import (
     In,
     Node,
     Quant,
-    _alpha,
     alpha_equal,
     free_identifiers,
     fresh_name,
@@ -46,7 +48,7 @@ __all__ = [
     "fact", "unhide", "using_defs", "hiding_defs", "twin", "reflect_binders",
     "filter_obligation", "expand_definition", "expand_all_usable",
     "embed", "check_well_formed", "obligation_free_identifiers",
-    "alpha_equal_obligation", "obligation_to_expression",
+    "obligation_to_expression",
     "context_binds", "render_obligation", "render_assumption",
     "substitute", "alpha_equal",
 ]
@@ -241,6 +243,38 @@ def _once(f, x, memo: Optional[dict], *args):
     return hit[1]
 
 
+def _prefixed(ctx: Context, table: dict, kind: str, step, state):
+    """The items step makes of ctx's, in order, and the state after them:
+    step(h, state) gives h's item (None for none) and the state after h,
+    from the state the items before h left.
+
+    Of the prefixes walked, each of even length, and ctx itself, keeps its
+    state in table under (kind, its length, its last item's identity), with
+    the context and the items it was worked out from, which hold those
+    objects.  A later context with an equal prefix resumes after it: the
+    leaves of a file, whose contexts extend or flip their parents' and
+    branch off anywhere in each other's, walk only the items they add and
+    at most one more.  Keeping every other state, not every one, keeps the
+    table small."""
+    m, out, n, made, marks = len(ctx), (), 0, [], []
+    while m:
+        hit = table.get((kind, m, id(ctx[m - 1])))
+        if hit is not None and hit[0][:m] == ctx[:m]:
+            _, out, n, state = hit
+            break
+        m -= 1
+    for h in ctx[m:]:
+        item, state = step(h, state)
+        if item is not None:
+            made.append(item)
+        marks.append((len(made), state))
+    out = out[:n] + tuple(made)
+    for p, (k, after) in enumerate(marks, m + 1):
+        if p % 2 == 0 or p == len(ctx):
+            table[(kind, p, id(ctx[p - 1]))] = (ctx, out, n + k, after)
+    return out, state
+
+
 # ---------------------------------------------------------------------------
 # Binder reflection
 
@@ -263,33 +297,39 @@ def reflect_binders(binders: Iterable[Binder]) -> Context:
 # Filtration
 
 
-def filter_obligation(o: Obligation) -> Obligation:
+def filter_obligation(o: Obligation, prefixes: Optional[dict] = None) -> Obligation:
     """Delete hidden facts, demote hidden definitions to declarations,
     recursively at every nesting depth.
 
-    An obligation, fact or definition with nothing hidden under it is
-    returned itself, not rebuilt, so the filtered leaves of one proof share
-    the assumptions they have in common (and their cached ``free``).
-    Whether anything is hidden is kept on each obligation (``hides``), so a
-    fact shared by sibling leaves is walked once."""
-    if not o.hides:
-        return o
-    out: list[Assumption] = []
-    for h in o.context:
-        match h:
-            case Fact(_, True):
-                continue
-            case Fact(obl, False):
-                f = filter_obligation(obl)
-                out.append(h if f is obl else Fact(f, False))
-            case Def(name, _, True):
-                out.append(New(name))
-            case Def(name, definable, False):
-                d = definable if isinstance(definable, Lambda) else filter_obligation(definable)
-                out.append(h if d is definable else Def(name, d, False))
-            case _:
-                out.append(h)
-    return Obligation(tuple(out), o.goal)
+    A fact or definition with nothing hidden under it is itself in the
+    result, not rebuilt, so the filtered leaves of one proof share the
+    assumptions they have in common (and their cached ``free``); so is an
+    obligation, unless a table of prefixes is given.  Whether anything is
+    hidden is kept on each obligation (``hides``), so a fact shared by
+    sibling leaves is walked once; with a table of prefixes (see
+    ``_prefixed``) a context prefix shared by leaves is filtered once."""
+    if prefixes is None:
+        if not o.hides:
+            return o
+        prefixes = {}
+    return Obligation(_prefixed(o.context, prefixes, "filter", _filtered, None)[0], o.goal)
+
+
+def _filtered(h: Assumption, state):
+    """The step of ``filter_obligation``: h filtered (None for a hidden
+    fact); the state is not used."""
+    match h:
+        case Fact(_, True):
+            return None, state
+        case Fact(obl, False):
+            f = filter_obligation(obl)
+            return (h if f is obl else Fact(f, False)), state
+        case Def(name, _, True):
+            return New(name), state
+        case Def(name, definable, False):
+            d = definable if isinstance(definable, Lambda) else filter_obligation(definable)
+            return (h if d is definable else Def(name, d, False)), state
+    return h, state
 
 
 # ---------------------------------------------------------------------------
@@ -344,57 +384,6 @@ def check_well_formed(o: Obligation, scope: frozenset[str] = frozenset()) -> Non
     loose = free_identifiers(o.goal) - bound - scope
     if loose:
         raise NotWellFormed(f"goal mentions unbound {sorted(loose)}")
-
-
-# ---------------------------------------------------------------------------
-# Alpha equivalence of obligations
-
-
-def alpha_equal_obligation(a: Obligation, b: Obligation) -> bool:
-    return _alpha_obl(a, b, {}, {}, 0)
-
-
-def _alpha_obl(a, b, env_a, env_b, depth) -> bool:
-    if len(a.context) != len(b.context):
-        return False
-    env_a, env_b = dict(env_a), dict(env_b)
-    for ha, hb in zip(a.context, b.context):
-        if type(ha) is not type(hb):
-            return False
-        match ha:
-            case New(name):
-                env_a[name] = depth
-                env_b[hb.name] = depth
-                depth += 1
-            case Def(name, definable, hidden):
-                if hidden != hb.hidden:
-                    return False
-                if not _alpha_definable(definable, hb.definable, env_a, env_b, depth):
-                    return False
-                env_a[name] = depth
-                env_b[hb.name] = depth
-                depth += 1
-            case Fact(obl, hidden):
-                if hidden != hb.hidden:
-                    return False
-                if not _alpha_obl(obl, hb.obligation, env_a, env_b, depth):
-                    return False
-    return _alpha(a.goal, b.goal, env_a, env_b, depth)
-
-
-def _alpha_definable(da, db, env_a, env_b, depth) -> bool:
-    if isinstance(da, Lambda) != isinstance(db, Lambda):
-        return False
-    if isinstance(da, Lambda):
-        if len(da.params) != len(db.params):
-            return False
-        ea, eb = dict(env_a), dict(env_b)
-        for pa, pb in zip(da.params, db.params):
-            ea[pa] = depth
-            eb[pb] = depth
-            depth += 1
-        return _alpha(da.body, db.body, ea, eb, depth)
-    return _alpha_obl(da, db, env_a, env_b, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +443,11 @@ def _expand_obligation(o: Obligation, name: str, d) -> Obligation:
     for k, h in enumerate(o.context):
         if isinstance(h, (New, Def)):
             if h.name == name:
-                # Shadowed from here on inside this nested context.
-                return Obligation(tuple(out) + o.context[k:], o.goal)
+                # Shadowed from here on inside this nested context, but a
+                # definition's own body still reads the outer name.
+                if isinstance(h, Def):
+                    h = Def(name, _expand_definable(h.definable, name, d), h.hidden)
+                return Obligation((*out, h) + o.context[k + 1 :], o.goal)
             if h.name in d.free:
                 rest = Obligation(o.context[k + 1 :], o.goal)
                 if name in rest.free:
@@ -477,7 +469,10 @@ def _expand_expr(e: Expr, name: str, d) -> Expr:
 
 
 def expand_all_usable(
-    o: Obligation, drop_unused: bool = True, shared: Optional[dict] = None
+    o: Obligation,
+    drop_unused: bool = True,
+    shared: Optional[dict] = None,
+    prefixes: Optional[dict] = None,
 ) -> Obligation:
     """Expand every usable definition left to right, then optionally drop
     definitions no later assumption or the goal still mentions.
@@ -487,46 +482,31 @@ def expand_all_usable(
     order, each definition already expanded by the ones before it.  This is
     the fold of ``expand_definition`` over the usable definitions, since the
     checker rejects a second declaration of a name in the top-level context
-    (``_declare``): no top-level binder can then shadow or capture one.
+    (``_declare``): no top-level binder can then shadow or capture one.  So
+    nothing after a usable definition mentions it once expanded, and
+    dropping drops each one; a hidden one is kept if a later kept
+    assumption or the goal mentions it.
 
     shared, a table kept across the leaves of one file, holds each expanded
     assumption under the identities of the assumption and of the (expanded)
     definitions it uses, which are all it depends on, and holds those
-    objects so that no identity is reused.  Leaves whose contexts share a
-    prefix thus expand it once and get the very same expanded objects."""
+    objects so that no identity is reused: leaves get the very same
+    expanded objects.  With a table of prefixes (see ``_prefixed``) a
+    context prefix shared by leaves is walked once."""
     shared = {} if shared is None else shared
-    defs: dict[str, Union[Obligation, Lambda]] = {}
-    # each usable definition's position in the context: an assumption's
-    # free names are looked up, and expanded in context order
-    order: dict[str, int] = {}
-    ctx: list[Assumption] = []
-    for h in o.context:
-        if defs and not isinstance(h, New):
-            free = h.definable.free if isinstance(h, Def) else h.obligation.free
-            names = sorted((n for n in free if n in defs), key=order.__getitem__)
-            if names:
-                used = tuple(defs[n] for n in names)
-                key = (id(h), *names, *map(id, used))
-                hit = shared.get(key)
-                if hit is None:
-                    e = h
-                    for name, d in zip(names, used):
-                        e = _expand_assumption(e, name, d)
-                    hit = shared[key] = (e, h, used)
-                h = hit[0]
-        ctx.append(h)
-        if isinstance(h, Def) and not h.hidden:
-            defs[h.name] = h.definable
-            order.setdefault(h.name, len(order))
+    prefixes = {} if prefixes is None else prefixes
+    named = prefixes.setdefault("named", set())
+    step = partial(_expanded, shared, named, drop_unused)
+    kind = "expand" if drop_unused else "expand-all"
+    ctx, (defs, hiding) = _prefixed(o.context, prefixes, kind, step, (None, False))
     goal = o.goal
-    for name in sorted((n for n in free_identifiers(goal) if n in defs), key=order.__getitem__):
-        goal = _expand_expr(goal, name, defs[name])
-    o = Obligation(tuple(ctx), goal)
-    if not drop_unused:
-        return o
+    for name, d in zip(*_usable(free_identifiers(goal) & named, defs)):
+        goal = _expand_expr(goal, name, d)
+    if not (drop_unused and hiding):
+        return Obligation(ctx, goal)
     kept: list[Assumption] = []
-    needed = set(free_identifiers(o.goal))
-    for h in reversed(o.context):
+    needed = set(free_identifiers(goal))
+    for h in reversed(ctx):
         if isinstance(h, Def) and h.name not in needed:
             continue
         kept.append(h)
@@ -538,7 +518,47 @@ def expand_all_usable(
                 needed |= definable.free
             case Fact(obl, _):
                 needed |= obl.free
-    return Obligation(tuple(reversed(kept)), o.goal)
+    return Obligation(tuple(reversed(kept)), goal)
+
+
+def _expanded(shared: dict, named: set, drop: bool, h: Assumption, state):
+    """The step of ``expand_all_usable``: the state is the chain of usable
+    definitions before h, (name, expanded definable, the chain before), and
+    whether a hidden definition is among them; named holds the name of
+    every usable definition met, so most names are ruled out at once."""
+    defs, hiding = state
+    if defs is not None and not isinstance(h, New):
+        free = h.definable.free if isinstance(h, Def) else h.obligation.free
+        names, used = _usable(free & named, defs)
+        if names:
+            key = (id(h), *names, *map(id, used))
+            hit = shared.get(key)
+            if hit is None:
+                e = h
+                for name, d in zip(names, used):
+                    e = _expand_assumption(e, name, d)
+                hit = shared[key] = (e, h, used)
+            h = hit[0]
+    if not isinstance(h, Def):
+        return h, state
+    if h.hidden:
+        return h, (defs, True)
+    named.add(h.name)
+    return (None if drop else h), ((h.name, h.definable, defs), hiding)
+
+
+def _usable(names, defs) -> tuple[tuple, tuple]:
+    """The names of names that the chain defs (see ``_expanded``) defines,
+    and the last definable of each, in context order."""
+    if not names:
+        return (), ()
+    found: dict = {}
+    while names and defs is not None:
+        name, d, defs = defs
+        if name in names:
+            found[name] = d
+            names = names - {name}
+    return tuple(reversed(found)), tuple(reversed(found.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ default, usable-definition expansion), ``embedding``, ``outcome`` and
 ``millis``.  Timing is null unless explicitly requested, keeping output
 byte-identical across runs.  Each distinct assumption of a file's leaves is
 rendered and embedded once, through memos freed when the report is built.
+The text report and the listing print only ``filtered``, so the CLI builds
+a leaf's raw ``obligation`` and ``embedding`` only for JSON.
 
 Status values: PROVED (complete, meaningful, every leaf proved), INCOMPLETE
 (omitted leaves exist, all others proved; also used when a path selection
@@ -20,7 +22,9 @@ import json
 from typing import Iterator, Optional, Sequence
 
 from .engine import CheckedTheorem, LeafObligationRecord
-from .meta import Obligation, embed, expand_all_usable, filter_obligation, render_obligation
+from .meta import (
+    Obligation, _embed, embed, expand_all_usable, filter_obligation, render_obligation
+)
 from .syntax import Node
 
 STATUSES = ("PROVED", "INCOMPLETE", "FAILED", "MEANINGLESS", "CHECKED")
@@ -50,10 +54,11 @@ def prepared_obligation(
     record: LeafObligationRecord, expand: bool = True, shared: Optional[dict] = None
 ) -> Obligation:
     """The prover-facing form of a leaf: filtered, optionally expanded.
-    shared is the table of expansions kept across a file's leaves (see
+    shared is the table kept across a file's leaves: the state after each
+    context prefix they share and each expanded assumption (see
     ``expand_all_usable``)."""
-    filtered = filter_obligation(record.obligation)
-    return expand_all_usable(filtered, shared=shared) if expand else filtered
+    filtered = filter_obligation(record.obligation, shared)
+    return expand_all_usable(filtered, shared=shared, prefixes=shared) if expand else filtered
 
 
 def build_report(
@@ -62,16 +67,20 @@ def build_report(
     outcomes: Optional[dict[int, tuple[str, Optional[float]]]],
     expand_filtered: bool = True,
     prepared: Optional[Sequence[Obligation]] = None,
+    full: bool = True,
 ) -> ObligationReport:
     """Assemble the report; outcomes maps leaf index to (outcome, millis),
     None meaning a structure-only run.  prepared, when given, holds
     prepared_obligation(record) of every record, reused instead of computed
-    again when expand_filtered is on.  Each distinct assumption is rendered
-    and embedded once, through memos that live only while the report is
-    built."""
+    again when expand_filtered is on.  Without full, a leaf's raw
+    obligation and embedding, which only the JSON format prints, are None.
+    Each distinct assumption is rendered and embedded once, through memos
+    that live only while the report is built; a checked theorem's leaves
+    are well-formed, so an embedding is not checked again."""
     if prepared is None or not expand_filtered:
         shared: dict = {}
         prepared = [prepared_obligation(r, expand_filtered, shared) for r in checked.records]
+        del shared
     rendered: dict = {}
     embedded: dict = {}
     leaves = []
@@ -85,9 +94,9 @@ def build_report(
                 path=".".join(record.path),
                 kind=record.kind,
                 omitted=record.omitted,
-                obligation=render_obligation(record.obligation, rendered),
+                obligation=render_obligation(record.obligation, rendered) if full else None,
                 filtered=render_obligation(prepared[idx], rendered),
-                embedding=embed(prepared[idx], embedded),
+                embedding=_embed(prepared[idx], embedded) if full else None,
                 outcome=outcome,
                 millis=millis,
             )
@@ -149,13 +158,6 @@ def _path_key(path: str):
         level, _, label = part.lstrip("<").partition(">")
         key.append((int(level), label))
     return key
-
-
-def read_report(text: str) -> ObligationReport:
-    raw = json.loads(text)
-    leaves = tuple(LeafEntry(**leaf) for leaf in raw["leaves"])
-    errors = tuple(ErrorEntry(**err) for err in raw.get("errors", []))
-    return ObligationReport(raw["theorem"], raw["status"], leaves, errors)
 
 
 def write_embeddings(obligations: list[Obligation]) -> str:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from proofmgr.parser import (
     parse_theorem,
 )
 from proofmgr.prover import Sequent
+from proofmgr.report import ErrorEntry, LeafEntry, ObligationReport
 from proofmgr.syntax import (
     And,
     Binder,
@@ -49,6 +51,7 @@ from proofmgr.syntax import (
     Quant,
     SetComp,
     Subseteq,
+    _alpha,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -304,3 +307,59 @@ def _prop_atoms(e: Expr) -> set[str]:
         case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
             return _prop_atoms(a) | _prop_atoms(b)
     raise TypeError(type(e).__name__)
+
+
+def read_report(text: str) -> ObligationReport:
+    """A JSON report read back into its records."""
+    raw = json.loads(text)
+    leaves = tuple(LeafEntry(**leaf) for leaf in raw["leaves"])
+    errors = tuple(ErrorEntry(**err) for err in raw.get("errors", []))
+    return ObligationReport(raw["theorem"], raw["status"], leaves, errors)
+
+
+def alpha_equal_obligation(a: Obligation, b: Obligation) -> bool:
+    """a and b are one obligation up to a renaming of the names they bind."""
+    return _alpha_obl(a, b, {}, {}, 0)
+
+
+def _alpha_obl(a, b, env_a, env_b, depth) -> bool:
+    if len(a.context) != len(b.context):
+        return False
+    env_a, env_b = dict(env_a), dict(env_b)
+    for ha, hb in zip(a.context, b.context):
+        if type(ha) is not type(hb):
+            return False
+        match ha:
+            case New(name):
+                env_a[name] = depth
+                env_b[hb.name] = depth
+                depth += 1
+            case Def(name, definable, hidden):
+                if hidden != hb.hidden:
+                    return False
+                if not _alpha_definable(definable, hb.definable, env_a, env_b, depth):
+                    return False
+                env_a[name] = depth
+                env_b[hb.name] = depth
+                depth += 1
+            case Fact(obl, hidden):
+                if hidden != hb.hidden:
+                    return False
+                if not _alpha_obl(obl, hb.obligation, env_a, env_b, depth):
+                    return False
+    return _alpha(a.goal, b.goal, env_a, env_b, depth)
+
+
+def _alpha_definable(da, db, env_a, env_b, depth) -> bool:
+    if isinstance(da, Lambda) != isinstance(db, Lambda):
+        return False
+    if isinstance(da, Lambda):
+        if len(da.params) != len(db.params):
+            return False
+        ea, eb = dict(env_a), dict(env_b)
+        for pa, pb in zip(da.params, db.params):
+            ea[pa] = depth
+            eb[pb] = depth
+            depth += 1
+        return _alpha(da.body, db.body, ea, eb, depth)
+    return _alpha_obl(da, db, env_a, env_b, depth)

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    alpha_equal_obligation,
     cantor_text,
     rand_expr,
     rand_obligation,
@@ -35,7 +36,6 @@ from proofmgr.meta import (
     Fact,
     New,
     Obligation,
-    alpha_equal_obligation,
     check_well_formed,
     context_binds,
     embed,

@@ -27,6 +27,7 @@ from test_report_manifest import MANIFEST, report_bytes
 DATA = Path(__file__).parent / "data"
 CANTOR = str(DATA / "cantor.tla")
 PICK = str(DATA / "corpus" / "pick.tla")
+TRUE_QED = str(DATA / "corpus" / "true_qed.tla")
 # Three leaves that are one obligation up to a renaming of S and A; the
 # second names one of them z
 RENAMED_TO_Z = r"""THEOREM Renamed == TRUE
@@ -210,6 +211,34 @@ class TestExitCodes:
         leaf = raw["leaves"][0]
         assert (leaf["path"], leaf["outcome"]) == ("<1>2", "unknown")
         assert leaf["filtered"] == "NEW S, NEW c |- \\A S1 : S1 = S"
+
+    def test_report_path_a_directory_is_four(self, capsys, tmp_path):
+        code, out, err = run(capsys, "check", "--prove", "--out", str(tmp_path), TRUE_QED)
+        assert code == 4
+        assert err.startswith(f"{tmp_path}: [Errno ") and err.count("\n") == 1
+
+    def test_embeddings_path_unwritable_is_four(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "embeddings.txt"
+        code, out, err = run(capsys, "check", "--emit-embeddings", str(target), TRUE_QED)
+        assert code == 4
+        assert "CHECKED" in out
+        assert err.startswith(f"{target}: [Errno ") and err.count("\n") == 1
+
+    def test_traces_path_under_a_file_is_four_and_the_run_goes_on(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        traces = blocker / "sub"
+        code, _, err = run(
+            capsys, "check", "--prove", "--emit-traces", str(traces), TRUE_QED, TRUE_QED
+        )
+        assert code == 4
+        # each file's trace directory fails in turn: the second file is
+        # checked after the first one's error
+        lines = err.splitlines()
+        assert [line.partition(": [Errno ")[0] for line in lines] == [
+            str(traces / "0-true_qed"),
+            str(traces / "1-true_qed"),
+        ]
 
     def test_checkonly_complete_is_zero(self, capsys):
         code, out, _ = run(capsys, "check", CANTOR)

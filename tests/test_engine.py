@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from helpers import cantor_text, rand_expr, rejection
+from helpers import alpha_equal_obligation, cantor_text, rand_expr, rejection
 from proofmgr.engine import (
     CheckedTheorem,
     MeaninglessError,
@@ -25,7 +25,6 @@ from proofmgr.meta import (
     New,
     Obligation,
     UnknownFact,
-    alpha_equal_obligation,
     check_well_formed,
     expand_all_usable,
     fact,

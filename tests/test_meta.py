@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import rand_obligation
+from helpers import alpha_equal_obligation, rand_obligation
 from proofmgr.meta import (
     ArityMismatch,
     Def,
@@ -18,7 +18,6 @@ from proofmgr.meta import (
     NotWellFormed,
     Obligation,
     UnknownOperator,
-    alpha_equal_obligation,
     check_well_formed,
     embed,
     expand_all_usable,

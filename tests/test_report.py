@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from helpers import cantor_text
+from helpers import cantor_text, read_report
 from proofmgr.engine import check_theorem
 from proofmgr.meta import New, Obligation, fact
 from proofmgr.parser import parse_expression as pe, parse_theorem
@@ -13,7 +13,6 @@ from proofmgr.report import (
     ObligationReport,
     build_report,
     compute_status,
-    read_report,
     write_embeddings,
     write_report,
 )
