@@ -7,6 +7,11 @@ Exit codes: 0 the theorem is PROVED (or CHECKED in a structure-only run),
 error (a file that is not UTF-8 included) or an ill-formed theorem, 4
 internal or I/O error.  With several files the worst exit code wins.
 
+The run reads its options from the parsed arguments (``build_arg_parser``);
+the budget's defaults are ``Budget()``'s.  ``--list-obligations`` stops
+before the prover, with ``--prove`` too: nothing is proved and no trace is
+written, and the exit code is that of the listing.
+
 Leaves are proved one after another in derivation order, so output is
 byte-identical for a fixed configuration.  Each obligation is proved once
 per run up to a renaming of its names: ``prove`` memoises the search, each
@@ -66,34 +71,6 @@ EXIT_BY_STATUS = {
 }
 
 
-class RunConfig:
-    """A run's options: the class attributes are the defaults."""
-
-    prove_leaves: bool = False
-    list_obligations: bool = False
-    emit_embeddings: Optional[str] = None
-    emit_traces: Optional[str] = None
-    fmt: str = "text"
-    out: Optional[str] = None
-    timeout_ms: int = Budget().timeout_ms
-    depth: int = Budget().max_depth
-    gamma_reuse: int = Budget().gamma_reuse
-    local_defs_usable: bool = True
-    only: Optional[str] = None
-    expand_filtered: bool = True
-    timings: bool = False
-
-    def __init__(self, paths: list[str], **options) -> None:
-        self.paths = paths
-        for name, value in options.items():
-            if name not in RunConfig.__annotations__:
-                raise TypeError(f"RunConfig() got an unexpected keyword argument {name!r}")
-            setattr(self, name, value)
-
-    def budget(self) -> Budget:
-        return Budget(self.depth, self.timeout_ms, self.gamma_reuse)
-
-
 def _prove_leaf(sequent, budget: Budget):
     """(outcome, millis, trace if proved, replay failure) of one leaf."""
     start = perf_counter()
@@ -116,32 +93,35 @@ def _selected(path: str, only: Optional[str]) -> bool:
     return path == only or path.startswith(only + ".") or path.startswith(only + "<")
 
 
-def check_file(path: str, config: RunConfig, write) -> tuple[int, Optional[str]]:
-    """Check (and prove) one file: (exit code, embeddings text).  The report
-    text goes to write, piece by piece as it is rendered, and proved traces
-    to the directory config.emit_traces; the embeddings text is rendered
-    only when config.emit_embeddings is set, and the caller writes it.
+def check_file(
+    path: str, args: argparse.Namespace, write, trace_dir: Optional[Path] = None
+) -> tuple[int, Optional[str]]:
+    """Check (and prove) one file under the parsed options: (exit code,
+    embeddings text).  The report text goes to write, piece by piece as it
+    is rendered, and proved traces to trace_dir, when given; the embeddings
+    text is rendered only when args.emit_embeddings is set, and the caller
+    writes it.
 
     A run's memory peaks while the report is rendered.  All else made for
-    the file (the checked theorem, the prepared obligations and the tables
+    the file (the checked theorem, the prepared obligations and the table
     their leaves share) is local to ``_report``, and freed before."""
-    built = _report(path, config)
+    built = _report(path, args, trace_dir)
     if isinstance(built, int):
         return built, None
     report, embeddings = built
-    if config.list_obligations:
+    if args.list_obligations:
         for leaf in report.leaves:
             flag = " (omitted)" if leaf.omitted else ""
             write(f"[{leaf.id}] {leaf.path or '(root)'} {leaf.kind}{flag}\n    {leaf.filtered}\n")
         for err in report.errors:
             write(f"error at {err.path}: {err.message}\n")
     else:
-        for chunk in report_chunks(report, config.fmt):
+        for chunk in report_chunks(report, args.format):
             write(chunk)
     return EXIT_BY_STATUS[report.status], embeddings
 
 
-def _report(path: str, config: RunConfig) -> Union[int, tuple]:
+def _report(path: str, args: argparse.Namespace, trace_dir: Optional[Path]) -> Union[int, tuple]:
     """The report of one file and its embeddings text; the exit code instead
     when the file cannot be read, parsed or checked (the error printed)."""
     try:
@@ -158,7 +138,7 @@ def _report(path: str, config: RunConfig) -> Union[int, tuple]:
         return 3
     try:
         theorem = parse_theorem(text)
-        checked = check_theorem(theorem, local_defs_usable=config.local_defs_usable)
+        checked = check_theorem(theorem, local_defs_usable=not args.local_defs_hidden)
     except ParseError as err:
         print(f"{path}: parse error: {err}", file=sys.stderr)
         return 3
@@ -178,28 +158,29 @@ def _report(path: str, config: RunConfig) -> Union[int, tuple]:
     # obligation per leaf, and the leaves one table (prepared_obligation),
     # which is freed once they are prepared
     prepared = []
-    shared: dict = {}
+    table: dict = {}
     for record in checked.records:
         try:
-            prepared.append(prepared_obligation(record, shared=shared))
+            prepared.append(prepared_obligation(record, table=table))
         except MetaError as err:
             leaf = ".".join(record.path) or "(root)"
             at = f" at {record.span}" if record.span else ""
             print(f"{path}: ill-formed theorem: leaf {leaf}{at}: {err}", file=sys.stderr)
             return 3
-    del shared
-    outcomes: Optional[dict[int, tuple[str, Optional[float]]]] = (
-        {} if config.prove_leaves else None
-    )
+    del table
+    # a listing stops before the prover, with or without --prove
+    proving = args.prove and not args.list_obligations
+    outcomes: Optional[dict[int, tuple[str, Optional[float]]]] = {} if proving else None
     traces: dict[int, str] = {}
-    if config.prove_leaves and checked.meaningful:
+    if proving and checked.meaningful:
+        budget = Budget(args.depth, args.timeout_ms, args.gamma_reuse)
         for idx, record in enumerate(checked.records):
-            if record.omitted or not _selected(".".join(record.path), config.only):
+            if record.omitted or not _selected(".".join(record.path), args.only):
                 continue
             sequent = sequent_from_obligation(prepared[idx])
-            outcome, millis, trace, failure = _prove_leaf(sequent, config.budget())
-            outcomes[idx] = (outcome, millis if config.timings else None)
-            if trace is not None and config.emit_traces:
+            outcome, millis, trace, failure = _prove_leaf(sequent, budget)
+            outcomes[idx] = (outcome, millis if args.timings else None)
+            if trace is not None and trace_dir:
                 traces[idx] = trace
             if failure is not None:
                 leaf = ".".join(record.path) or "(root)"
@@ -209,13 +190,12 @@ def _report(path: str, config: RunConfig) -> Union[int, tuple]:
         theorem.name,
         checked,
         outcomes,
-        expand_filtered=config.expand_filtered,
+        expand_filtered=not args.raw_filtered,
         prepared=prepared,
-        full=config.fmt == "json" and not config.list_obligations,
+        full=args.format == "json" and not args.list_obligations,
     )
 
-    if config.emit_traces:
-        trace_dir = Path(config.emit_traces)
+    if trace_dir:
         try:
             trace_dir.mkdir(parents=True, exist_ok=True)
             for idx, trace in traces.items():
@@ -223,11 +203,11 @@ def _report(path: str, config: RunConfig) -> Union[int, tuple]:
         except OSError as err:
             print(f"{trace_dir}: {err}", file=sys.stderr)
             return 4
-    embeddings = write_embeddings(prepared) if config.emit_embeddings else None
+    embeddings = write_embeddings(prepared) if args.emit_embeddings else None
     return report, embeddings
 
 
-def run(config: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     # the prover's stores live as long as the process; a run starts them
     # empty, so that each run searches its own obligations
     reset()
@@ -236,25 +216,24 @@ def run(config: RunConfig) -> int:
     # each file's report is written once the file is checked, chunk by
     # chunk, so that no more than a chunk of its text is held
     try:
-        sink = open(config.out, "w", encoding="utf-8") if config.out else nullcontext(sys.stdout)
+        sink = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
     except OSError as err:
-        print(f"{config.out}: {err}", file=sys.stderr)
+        print(f"{args.out}: {err}", file=sys.stderr)
         return 4
     with sink as out:
-        for position, path in enumerate(config.paths):
-            file_config = config
-            if config.emit_traces and len(config.paths) > 1:
-                trace_dir = Path(config.emit_traces) / f"{position}-{Path(path).stem}"
-                file_config = RunConfig(**{**vars(config), "emit_traces": str(trace_dir)})
-            file_code, embeddings = check_file(path, file_config, out.write)
+        for position, path in enumerate(args.paths):
+            trace_dir = Path(args.emit_traces) if args.emit_traces else None
+            if trace_dir and len(args.paths) > 1:
+                trace_dir = trace_dir / f"{position}-{Path(path).stem}"
+            file_code, embeddings = check_file(path, args, out.write, trace_dir)
             code = max(code, file_code)
             if embeddings is not None:
                 embedded.append(embeddings)
     if embedded:
         try:
-            Path(config.emit_embeddings).write_text("".join(embedded), encoding="utf-8")
+            Path(args.emit_embeddings).write_text("".join(embedded), encoding="utf-8")
         except OSError as err:
-            print(f"{config.emit_embeddings}: {err}", file=sys.stderr)
+            print(f"{args.emit_embeddings}: {err}", file=sys.stderr)
             return 4
     return code
 
@@ -286,11 +265,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     check.add_argument("--emit-traces", metavar="DIR", help="write prover traces (with --prove)")
     check.add_argument("--format", choices=("text", "json"), default="text")
     check.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
-    check.add_argument("--timeout-ms", type=_positive, default=RunConfig.timeout_ms)
+    budget = Budget()
+    check.add_argument("--timeout-ms", type=_positive, default=budget.timeout_ms)
     check.add_argument(
-        "--depth", type=_positive, default=RunConfig.depth, help="most first-order steps on a branch"
+        "--depth", type=_positive, default=budget.max_depth, help="most first-order steps on a branch"
     )
-    check.add_argument("--gamma-reuse", type=_positive, default=RunConfig.gamma_reuse)
+    check.add_argument("--gamma-reuse", type=_positive, default=budget.gamma_reuse)
     check.add_argument(
         "--local-defs-hidden",
         action="store_true",
@@ -308,24 +288,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_arg_parser().parse_args(argv)
-    config = RunConfig(
-        paths=args.paths,
-        prove_leaves=args.prove,
-        list_obligations=args.list_obligations,
-        emit_embeddings=args.emit_embeddings,
-        emit_traces=args.emit_traces,
-        fmt=args.format,
-        out=args.out,
-        timeout_ms=args.timeout_ms,
-        depth=args.depth,
-        gamma_reuse=args.gamma_reuse,
-        local_defs_usable=not args.local_defs_hidden,
-        only=args.only,
-        expand_filtered=not args.raw_filtered,
-        timings=args.timings,
-    )
     try:
-        return run(config)
+        return run(args)
     except Exception as err:  # noqa: BLE001 - the contract maps crashes to exit 4
         print(f"internal error: {err}", file=sys.stderr)
         return 4

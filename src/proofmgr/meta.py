@@ -297,22 +297,22 @@ def reflect_binders(binders: Iterable[Binder]) -> Context:
 # Filtration
 
 
-def filter_obligation(o: Obligation, prefixes: Optional[dict] = None) -> Obligation:
+def filter_obligation(o: Obligation, table: Optional[dict] = None) -> Obligation:
     """Delete hidden facts, demote hidden definitions to declarations,
     recursively at every nesting depth.
 
     A fact or definition with nothing hidden under it is itself in the
     result, not rebuilt, so the filtered leaves of one proof share the
     assumptions they have in common (and their cached ``free``); so is an
-    obligation, unless a table of prefixes is given.  Whether anything is
-    hidden is kept on each obligation (``hides``), so a fact shared by
-    sibling leaves is walked once; with a table of prefixes (see
-    ``_prefixed``) a context prefix shared by leaves is filtered once."""
-    if prefixes is None:
+    obligation, unless a table is given.  Whether anything is hidden is
+    kept on each obligation (``hides``), so a fact shared by sibling leaves
+    is walked once; with the file's table (see ``_prefixed``) a context
+    prefix shared by leaves is filtered once."""
+    if table is None:
         if not o.hides:
             return o
-        prefixes = {}
-    return Obligation(_prefixed(o.context, prefixes, "filter", _filtered, None)[0], o.goal)
+        table = {}
+    return Obligation(_prefixed(o.context, table, "filter", _filtered, None)[0], o.goal)
 
 
 def _filtered(h: Assumption, state):
@@ -468,14 +468,9 @@ def _expand_expr(e: Expr, name: str, d) -> Expr:
     return substitute(e, name, d if isinstance(d, Lambda) else obligation_to_expression(d))
 
 
-def expand_all_usable(
-    o: Obligation,
-    drop_unused: bool = True,
-    shared: Optional[dict] = None,
-    prefixes: Optional[dict] = None,
-) -> Obligation:
-    """Expand every usable definition left to right, then optionally drop
-    definitions no later assumption or the goal still mentions.
+def expand_all_usable(o: Obligation, table: Optional[dict] = None) -> Obligation:
+    """Expand every usable definition left to right, then drop definitions
+    no later assumption or the goal still mentions.
 
     One walk over the context: each assumption, and then the goal, has the
     usable definitions before it that are free in it expanded in context
@@ -487,22 +482,21 @@ def expand_all_usable(
     dropping drops each one; a hidden one is kept if a later kept
     assumption or the goal mentions it.
 
-    shared, a table kept across the leaves of one file, holds each expanded
-    assumption under the identities of the assumption and of the (expanded)
-    definitions it uses, which are all it depends on, and holds those
-    objects so that no identity is reused: leaves get the very same
-    expanded objects.  With a table of prefixes (see ``_prefixed``) a
-    context prefix shared by leaves is walked once."""
-    shared = {} if shared is None else shared
-    prefixes = {} if prefixes is None else prefixes
-    named = prefixes.setdefault("named", set())
-    step = partial(_expanded, shared, named, drop_unused)
-    kind = "expand" if drop_unused else "expand-all"
-    ctx, (defs, hiding) = _prefixed(o.context, prefixes, kind, step, (None, False))
+    table, kept across the leaves of one file, holds under "expanded" each
+    expanded assumption, keyed on the identities of the assumption and of
+    the (expanded) definitions it uses, which are all it depends on, and
+    holds those objects so that no identity is reused: leaves get the very
+    same expanded objects.  It also keeps the state after the context
+    prefixes the leaves share (see ``_prefixed``), so that each is walked
+    once."""
+    table = {} if table is None else table
+    named = table.setdefault("named", set())
+    step = partial(_expanded, table.setdefault("expanded", {}), named)
+    ctx, (defs, hiding) = _prefixed(o.context, table, "expand", step, (None, False))
     goal = o.goal
     for name, d in zip(*_usable(free_identifiers(goal) & named, defs)):
         goal = _expand_expr(goal, name, d)
-    if not (drop_unused and hiding):
+    if not hiding:
         return Obligation(ctx, goal)
     kept: list[Assumption] = []
     needed = set(free_identifiers(goal))
@@ -521,7 +515,7 @@ def expand_all_usable(
     return Obligation(tuple(reversed(kept)), goal)
 
 
-def _expanded(shared: dict, named: set, drop: bool, h: Assumption, state):
+def _expanded(expanded: dict, named: set, h: Assumption, state):
     """The step of ``expand_all_usable``: the state is the chain of usable
     definitions before h, (name, expanded definable, the chain before), and
     whether a hidden definition is among them; named holds the name of
@@ -532,19 +526,19 @@ def _expanded(shared: dict, named: set, drop: bool, h: Assumption, state):
         names, used = _usable(free & named, defs)
         if names:
             key = (id(h), *names, *map(id, used))
-            hit = shared.get(key)
+            hit = expanded.get(key)
             if hit is None:
                 e = h
                 for name, d in zip(names, used):
                     e = _expand_assumption(e, name, d)
-                hit = shared[key] = (e, h, used)
+                hit = expanded[key] = (e, h, used)
             h = hit[0]
     if not isinstance(h, Def):
         return h, state
     if h.hidden:
         return h, (defs, True)
     named.add(h.name)
-    return (None if drop else h), ((h.name, h.definable, defs), hiding)
+    return None, ((h.name, h.definable, defs), hiding)
 
 
 def _usable(names, defs) -> tuple[tuple, tuple]:

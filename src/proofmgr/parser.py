@@ -572,35 +572,3 @@ def parse_theorem(text: str) -> Theorem:
 def parse_expression(text: str) -> Expr:
     p = _Parser(tokenize(text))
     return p.finish(p.expr())
-
-
-def validate_levels(proof: Proof, min_level: int = 0) -> None:
-    """Check the level-number constraints on a constructed proof AST.
-
-    Raises LevelError on the first violation: unequal levels within one
-    sequence, a subproof at or below its step's level, a non-final QED, or a
-    missing QED.
-    """
-    if not isinstance(proof, NonLeaf):
-        return
-    if not proof.steps:
-        raise LevelError("empty step sequence", proof.pos or Pos(0, 0))
-    level = proof.steps[0].token.level
-    if level <= min_level:
-        raise LevelError(
-            f"subproof level {level} not deeper than {min_level}",
-            proof.steps[0].token.pos or Pos(0, 0),
-        )
-    for idx, step in enumerate(proof.steps):
-        tok = step.token
-        where = tok.pos or Pos(0, 0)
-        if tok.level != level:
-            raise LevelError(
-                f"step {tok.name} breaks the sequence level {level}", where
-            )
-        is_last = idx == len(proof.steps) - 1
-        if isinstance(step.body, QedStep) != is_last:
-            raise LevelError(f"QED placement violated at {tok.name}", where)
-        sub = getattr(step.body, "proof", None)  # a step's subproof
-        if sub is not None:
-            validate_levels(sub, tok.level)

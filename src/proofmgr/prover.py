@@ -36,9 +36,10 @@ replayed against the entries searched before the outcome is stored, and a
 trace that does not replay makes the outcome ``Unknown``, its reason the
 replay's first failure.  ``prove`` memoises the search per process on the
 obligation's class up to a renaming of its names: the shape of each
-initial entry (each free name replaced by its index in order of first
-occurrence, bound names kept), how the entries' names link, and the
-budget.  The first obligation of a class is searched under its own names;
+initial entry (its nodes in preorder over ``syntax.scoped``, each as its
+type and ``syntax._label``, with each free name replaced by its index in
+order of first occurrence, bound names kept), how the entries' names link,
+and the budget.  The first obligation of a class is searched under its own names;
 a later one with the same names and entries gets the stored outcome, and
 one under other names gets it with the names mapped over, a mapped trace
 replayed against its own entries before it is given.  The search makes the
@@ -61,7 +62,7 @@ import time
 from typing import Iterator, Optional
 
 from . import syntax as s
-from .syntax import Expr, Ident, Neg, OpApp, Quant, pretty
+from .syntax import Expr, Ident, Neg, OpApp, _label, pretty, scoped
 from .tableau import (
     Budget,
     Malformed,
@@ -400,57 +401,28 @@ def _search(initial: tuple[Expr, ...], budget: Budget) -> ProverOutcome:
 @functools.lru_cache(maxsize=4096)
 def _fingerprint(e: Expr) -> tuple[tuple, tuple[str, ...], tuple[str, ...]]:
     """(shape, names, bound) of an initial entry.  The shape lists e's nodes
-    in preorder: an identifier as its name, any other node as its type, its
-    fields other than subterms and, where it varies, its number of
-    subterms.  Each free name in it is replaced by its index in names, which
-    lists the free names in order of first occurrence; bound names stay as
-    they are, and bound lists them.  Two entries have the same shape iff
-    one is the other with its free names renamed bijectively."""
+    in preorder (``syntax.scoped``), each as its type and label
+    (``syntax._label``), except that a free name is its type, its index in
+    names and its number of subterms; names lists the free names in order
+    of first occurrence.  Bound names stay as they are, and bound lists
+    them.  A node's type and label fix how many subterms it has, so two
+    entries have the same shape iff one is the other with its free names
+    renamed bijectively."""
     shape: list = []
     names: dict[str, int] = {}
-    bound_names: set[str] = set()
-
-    def name(n: str, bound: frozenset[str]):
-        return n if n in bound else names.setdefault(n, len(names))
-
-    def walk(e: Expr, bound: frozenset[str]) -> None:
-        match e:
-            case Ident(n):
-                shape.append(name(n, bound))
-            case OpApp(n, args):
-                shape.extend((OpApp, name(n, bound), len(args)))
-                for a in args:
-                    walk(a, bound)
-            case Quant(kind, binders, body):
-                shape.extend((Quant, kind, len(binders)))
-                for b in binders:
-                    shape.append(b.name)
-                    if b.domain is None:
-                        shape.append(None)
-                    else:
-                        walk(b.domain, bound)
-                inner = bound.union(b.name for b in binders)
-                bound_names.update(inner)
-                walk(body, inner)
-            case s.SetComp(var, domain, pred):
-                shape.extend((s.SetComp, var))
-                bound_names.add(var)
-                walk(domain, bound)
-                walk(pred, bound | {var})
-            case s.SetImage(expr, var, domain):
-                shape.extend((s.SetImage, var))
-                bound_names.add(var)
-                walk(expr, bound | {var})
-                walk(domain, bound)
-            case s.Bool():
-                shape.append(e)
-            case _:
-                shape.append(type(e))
-                for f in e._fields:
-                    walk(getattr(e, f), bound)
-
-    walk(e, frozenset())
-    return tuple(shape), tuple(names), tuple(bound_names)
+    binders: set[str] = set()
+    todo = [(e, frozenset())]
+    while todo:
+        e, bound = todo.pop()
+        kids = list(scoped(e))
+        if type(e) in (Ident, OpApp) and e.name not in bound:
+            shape.extend((type(e), names.setdefault(e.name, len(names)), len(kids)))
+        else:
+            shape.extend((type(e), _label(e)))
+        for c, b in reversed(kids):
+            binders.update(b)
+            todo.append((c, bound.union(b) if b else bound))
+    return tuple(shape), tuple(names), tuple(binders)
 
 
 def _class_of(initial: tuple[Expr, ...], budget: Budget) -> tuple[tuple, tuple[str, ...]]:

@@ -51,14 +51,14 @@ def _fields_of(record: Node) -> dict:
 
 
 def prepared_obligation(
-    record: LeafObligationRecord, expand: bool = True, shared: Optional[dict] = None
+    record: LeafObligationRecord, expand: bool = True, table: Optional[dict] = None
 ) -> Obligation:
     """The prover-facing form of a leaf: filtered, optionally expanded.
-    shared is the table kept across a file's leaves: the state after each
+    table is the one kept across a file's leaves: the state after each
     context prefix they share and each expanded assumption (see
     ``expand_all_usable``)."""
-    filtered = filter_obligation(record.obligation, shared)
-    return expand_all_usable(filtered, shared=shared, prefixes=shared) if expand else filtered
+    filtered = filter_obligation(record.obligation, table)
+    return expand_all_usable(filtered, table) if expand else filtered
 
 
 def build_report(
@@ -78,9 +78,9 @@ def build_report(
     that live only while the report is built; a checked theorem's leaves
     are well-formed, so an embedding is not checked again."""
     if prepared is None or not expand_filtered:
-        shared: dict = {}
-        prepared = [prepared_obligation(r, expand_filtered, shared) for r in checked.records]
-        del shared
+        table: dict = {}
+        prepared = [prepared_obligation(r, expand_filtered, table) for r in checked.records]
+        del table
     rendered: dict = {}
     embedded: dict = {}
     leaves = []

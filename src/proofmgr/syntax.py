@@ -17,6 +17,11 @@ Scoping (``scoped``): quantifiers, set comprehensions and image sets bind
 their names in their body only; binder domains are scoped to the enclosing
 context, so a domain that names a sibling binder reads that name from the
 context (``split_binder`` keeps this when a quantifier is taken apart).
+
+Node shape: ``children`` and ``scoped`` give a node's subterms, and
+``_label`` what else two nodes of one type must share to be equal.
+Unification and congruence (``tableau``) and the prover's memo key
+(``prover._fingerprint``) compare nodes by these alone.
 """
 
 from __future__ import annotations
@@ -403,6 +408,23 @@ def scoped(e: Expr) -> Iterator[tuple[Expr, tuple[str, ...]]]:
         case _:
             for c in children(e):
                 yield c, ()
+
+
+def _label(e: Expr):
+    """What two nodes of one type must share, besides their subterms, to be
+    equal: a name or value and an operator's arity, a quantifier's kind and
+    each binder's name and whether it has a domain, or a comprehension's
+    variable.  Equal labels make the subterms pair up."""
+    match e:
+        case Ident(n) | Bool(n):
+            return n
+        case OpApp(n, args):
+            return n, len(args)
+        case Quant(kind, binders):
+            return kind, tuple((b.name, b.domain is None) for b in binders)
+        case SetComp(var) | SetImage(_, var):
+            return var
+    return None
 
 
 def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:

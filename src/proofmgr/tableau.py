@@ -12,7 +12,8 @@ The prover refutes hypotheses plus the negated goal.  Rules:
 * delta: existentials instantiated with skolem terms (``!skk``) over the
   metavariables of the formula;
 * closure by unification of complementary formulas, of a negated reflexive
-  equality, or by ground congruence closure over the branch's equalities;
+  equality, or by ground congruence closure over the branch's equalities
+  (both compare two nodes by their ``syntax._label`` and subterms);
 * set rules: membership in a bounded comprehension, an image set, a powerset
   or a function space unfolds per construct; the subset relation unfolds to
   its bounded-universal definition; extensionality fires once per branch on a
@@ -38,7 +39,9 @@ from typing import Optional, Union
 
 from . import syntax as s
 from .meta import Def, Fact, New, Obligation
-from .syntax import Binder, Expr, Ident, Neg, OpApp, Quant, free_identifiers, map_children, pretty
+from .syntax import (
+    Binder, Expr, Ident, Neg, OpApp, Quant, _label, free_identifiers, map_children, pretty
+)
 
 
 class Budget(s.Node):
@@ -162,23 +165,6 @@ def _reserved_names(sequent: Sequent) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # Substitution over metavariables
-
-
-def _label(e: Expr):
-    """What two nodes of one type must share, besides their subterms, to be
-    equal: a name or value and an operator's arity, a quantifier's kind and
-    each binder's name and whether it has a domain, or a comprehension's
-    variable.  Equal labels make the subterms pair up."""
-    match e:
-        case Ident(n) | s.Bool(n):
-            return n
-        case OpApp(n, args):
-            return n, len(args)
-        case Quant(kind, binders):
-            return kind, [(b.name, b.domain is None) for b in binders]
-        case s.SetComp(var) | s.SetImage(_, var):
-            return var
-    return None
 
 
 class _Subst:

@@ -170,7 +170,7 @@ def rand_nested_obligation(rng: random.Random, scope: list[str]) -> Obligation:
 
 
 # ---------------------------------------------------------------------------
-# Random well-formed proofs (for level validation)
+# Random well-formed proofs
 
 
 def rand_wellformed_proof(rng: random.Random, level: int = 1, depth: int = 3) -> NonLeaf:
@@ -193,52 +193,6 @@ def _rand_subproof(rng: random.Random, level: int, depth: int):
     if depth <= 0 or rng.random() < 0.5:
         return rng.choice([Obvious(), Omitted(), By((Bool(True),), ())])
     return rand_wellformed_proof(rng, level + rng.randrange(1, 3), depth - 1)
-
-
-def all_tokens(proof: NonLeaf):
-    """(container, index, token) for every begin-step token in the proof."""
-    out = []
-
-    def walk(p):
-        if not isinstance(p, NonLeaf):
-            return
-        for i, step in enumerate(p.steps):
-            out.append((p, i, step.token))
-            sub = getattr(step.body, "proof", None)
-            if sub is not None:
-                walk(sub)
-
-    walk(proof)
-    return out
-
-
-def mutate_token_level(proof, target, new_level):
-    """Rebuild the proof with one begin-step token's level changed."""
-    container, index, token = target
-
-    def walk(p):
-        if not isinstance(p, NonLeaf):
-            return p
-        steps = []
-        for i, step in enumerate(p.steps):
-            tok = step.token
-            if p is container and i == index:
-                tok = BeginStepToken(new_level, tok.label)
-            body = step.body
-            sub = getattr(body, "proof", None)
-            if sub is not None:
-                new_sub = walk(sub)
-                if new_sub is not sub:
-                    body = type(body)(
-                        **{
-                            **{f: getattr(body, f) for f in body._fields},
-                            "proof": new_sub,
-                        }
-                    )
-            steps.append(Step(tok, body))
-        return NonLeaf(tuple(steps))
-
-    return walk(proof)
 
 
 # ---------------------------------------------------------------------------

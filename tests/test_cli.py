@@ -322,6 +322,18 @@ class TestModes:
         assert out.count("[") >= 11
         assert "<1>1.<2>2.<3>1.<4>1" in out
 
+    def test_a_listing_stops_before_the_prover(self, capsys, tmp_path):
+        # <1>1 is false and <1>2 is proved; with --prove the listing still
+        # proves nothing: the same output and exit code, and no trace
+        p = tmp_path / "false_leaf.tla"
+        p.write_text("THEOREM ASSUME NEW P, NEW Q PROVE P => P\n<1>1. Q OBVIOUS\n<1>2. QED OBVIOUS\n")
+        tdir = tmp_path / "traces"
+        want = run(capsys, "check", "--list-obligations", str(p))
+        got = run(capsys, "check", "--prove", "--emit-traces", str(tdir), "--list-obligations", str(p))
+        assert got == want and want[0] == 0
+        assert "[0] <1>1 " in want[1] and not list(tdir.iterdir())
+        assert run(capsys, "check", "--prove", str(p))[0] == 2
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "check", CANTOR, "--prove", "--format", "json")
         assert code == 0
@@ -376,9 +388,10 @@ class TestModes:
     def test_check_file_returns_the_embeddings(self, capsys, tmp_path):
         target = tmp_path / "embeddings.txt"
         run(capsys, "check", CANTOR, "--emit-embeddings", str(target))
-        config = cli.RunConfig([CANTOR], emit_embeddings=str(target))
-        assert cli.check_file(CANTOR, config, [].append) == (0, target.read_text())
-        assert cli.check_file(CANTOR, cli.RunConfig([CANTOR]), [].append) == (0, None)
+        args = cli.build_arg_parser().parse_args(["check", CANTOR, "--emit-embeddings", str(target)])
+        assert cli.check_file(CANTOR, args, [].append) == (0, target.read_text())
+        args = cli.build_arg_parser().parse_args(["check", CANTOR])
+        assert cli.check_file(CANTOR, args, [].append) == (0, None)
 
     def test_only_restricts_proving(self, capsys):
         code, out, _ = run(

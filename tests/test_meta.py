@@ -438,14 +438,12 @@ def usable_obligations(draw):
     return Obligation(tuple(ctx), expr_of(draw, scope, 3))
 
 
-def expand_by_fold(o: Obligation, drop_unused: bool) -> Obligation:
+def expand_by_fold(o: Obligation) -> Obligation:
     """The reference: expand_definition once per usable definition, left to
     right, then drop the definitions nothing after them mentions."""
     for h in o.context:
         if isinstance(h, Def) and not h.hidden:
             o = expand_definition(o, h.name)
-    if not drop_unused:
-        return o
     kept = []
     needed = set(free_identifiers(o.goal))
     for h in reversed(o.context):
@@ -465,10 +463,10 @@ def expand_by_fold(o: Obligation, drop_unused: bool) -> Obligation:
 
 class TestOneWalkExpansion:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(usable_obligations(), st.booleans())
-    def test_equals_the_fold_of_expand_definition(self, o, drop_unused):
+    @given(usable_obligations())
+    def test_equals_the_fold_of_expand_definition(self, o):
         check_well_formed(o)
-        assert expand_all_usable(o, drop_unused) == expand_by_fold(o, drop_unused)
+        assert expand_all_usable(o) == expand_by_fold(o)
 
 
 def scope_of(ctx) -> dict:
@@ -502,17 +500,18 @@ class TestSharedPreparation:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(sibling_leaves())
     def test_equals_each_leaf_prepared_on_its_own(self, leaves):
-        shared: dict = {}
+        table: dict = {}
         rendered: dict = {}
         embedded: dict = {}
         for o in leaves:
             alone = expand_all_usable(filter_obligation(o))
-            together = expand_all_usable(filter_obligation(o), shared=shared)
+            together = expand_all_usable(filter_obligation(o, table), table)
             assert together == alone
             assert render_obligation(together, rendered) == render_obligation(alone)
             assert embed(together, embedded) == embed(alone)
             assert render_obligation(o, rendered) == render_obligation(o)
-        assert all(key[0] == id(entry[1]) for key, entry in shared.items())
+        expanded = table.get("expanded", {})
+        assert all(key[0] == id(entry[1]) for key, entry in expanded.items())
 
     def test_a_shared_prefix_is_expanded_once(self):
         ctx = (
@@ -522,10 +521,10 @@ class TestSharedPreparation:
             fact(pe("D(x)")),
             fact(pe("D(S)")),
         )
-        shared: dict = {}
-        a = expand_all_usable(Obligation(ctx, pe("D(x)")), shared=shared)
-        b = expand_all_usable(Obligation(ctx[:4], pe(r"x \in S")), shared=shared)
-        assert len(shared) == 2  # D(x) and D(S), each expanded once
+        table: dict = {}
+        a = expand_all_usable(Obligation(ctx, pe("D(x)")), table)
+        b = expand_all_usable(Obligation(ctx[:4], pe(r"x \in S")), table)
+        assert len(table["expanded"]) == 2  # D(x) and D(S), each expanded once
         assert a.context[2] is b.context[2] and a.context[2] == fact(pe(r"x \in S"))
 
 

@@ -6,7 +6,7 @@ import string
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import all_tokens, cantor_text, mutate_token_level, rand_wellformed_proof
+from helpers import cantor_text
 from proofmgr.parser import (
     AssertStep,
     By,
@@ -22,7 +22,6 @@ from proofmgr.parser import (
     parse_expression,
     parse_theorem,
     tokenize,
-    validate_levels,
 )
 from proofmgr.syntax import (
     And,
@@ -257,24 +256,6 @@ class TestLevels:
         bad = "THEOREM TRUE <1>1. TRUE OBVIOUS <1>1. QED OBVIOUS"
         with pytest.raises(ParseError):
             parse_theorem(bad)
-
-    def test_generator_output_validates(self):
-        rng = random.Random(7)
-        for _ in range(50):
-            proof = rand_wellformed_proof(rng)
-            validate_levels(proof)  # must not raise
-
-    def test_single_token_mutations_rejected(self):
-        rng = random.Random(11)
-        for _ in range(50):
-            proof = rand_wellformed_proof(rng)
-            tokens = all_tokens(proof)
-            target = rng.choice(tokens)
-            old = target[2].level
-            new = rng.choice([lv for lv in range(1, 7) if lv != old])
-            mutated = mutate_token_level(proof, target, new)
-            with pytest.raises(LevelError):
-                validate_levels(mutated)
 
 
 class TestFuzz:

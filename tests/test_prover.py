@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import DATA, rand_expr, rand_prop_sequent, rand_term, truth_table_valid
-from proofmgr import prover, tableau
+from proofmgr import prover, syntax as s, tableau
 from proofmgr.engine import check_theorem
 from proofmgr.parser import parse_expression as pe, parse_theorem
 from proofmgr.report import prepared_obligation
@@ -1178,6 +1178,99 @@ class TestRenaming:
         prover._memo.store(key, names, _initial(a), Proved("close-false\t0\n"))
         assert prove(b, BIG) == _search(_initial(b), BIG)
         assert (prover._memo.hits, prover._memo.misses) == (0, 1)
+
+
+# Every expression node type, over a pool of names small enough that free
+# and bound occurrences of one name often meet
+NODE_NAMES = st.sampled_from(["a", "b", "x"])
+NODE_LEAVES = st.builds(s.Ident, NODE_NAMES) | st.builds(s.Bool, st.booleans())
+
+
+def node_types(inner) -> dict:
+    """Each expression node type, with a strategy for a node of it whose
+    subterms are drawn from inner."""
+    binders = st.lists(st.builds(Binder, NODE_NAMES, st.none() | inner), min_size=1, max_size=2)
+    two = (s.FnApp, s.And, s.Or, s.Implies, s.Iff, s.Eq, s.Ne, s.In, s.NotIn, s.Subseteq, s.FuncSpace)
+    return {
+        s.Ident: st.builds(s.Ident, NODE_NAMES),
+        s.Bool: st.builds(s.Bool, st.booleans()),
+        s.OpApp: st.builds(s.OpApp, NODE_NAMES, st.lists(inner, min_size=1, max_size=2).map(tuple)),
+        s.Quant: st.builds(s.Quant, st.sampled_from(["forall", "exists"]), binders.map(tuple), inner),
+        s.SetComp: st.builds(s.SetComp, NODE_NAMES, inner, inner),
+        s.SetImage: st.builds(s.SetImage, inner, NODE_NAMES, inner),
+        s.Neg: st.builds(s.Neg, inner),
+        s.PowerSet: st.builds(s.PowerSet, inner),
+        **{t: st.builds(t, inner, inner) for t in two},
+    }
+
+
+NODES = st.recursive(
+    NODE_LEAVES, lambda inner: st.one_of(*node_types(inner).values()), max_leaves=5
+)
+
+
+def node_count(e: Expr) -> int:
+    return 1 + sum(map(node_count, s.children(e)))
+
+
+def replace_node(e: Expr, k: int, new: Expr) -> Expr:
+    """e with its k-th node in preorder (``children``) replaced by new."""
+    left = [k]
+
+    def visit(x: Expr) -> Expr:
+        left[0] -= 1
+        if left[0] == -1:
+            return new
+        return map_children(x, visit) if left[0] >= 0 else x
+
+    return visit(e)
+
+
+@st.composite
+def entry_pairs(draw):
+    """Two entries: the second drawn on its own, or the first with one node
+    replaced, so that the two often share a shape."""
+    a = draw(NODES)
+    if draw(st.booleans()):
+        return a, draw(NODES)
+    return a, replace_node(a, draw(st.integers(0, node_count(a) - 1)), draw(NODES))
+
+
+class TestMemoKey:
+    """The memo's class key (``_fingerprint``) tells apart every two entries
+    that are not one another renamed, so that ``prove`` may give a stored
+    outcome as it is to an entry of the same shape under the same names."""
+
+    def test_the_strategy_builds_every_node_type(self):
+        assert set(node_types(NODE_LEAVES)) == set(s.Expr.__subclasses__())
+
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(entry_pairs())
+    def test_equal_shape_and_names_mean_equal_entries(self, pair):
+        a, b = pair
+        if prover._fingerprint(a)[:2] == prover._fingerprint(b)[:2]:
+            assert a == b
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ("P(Q(a), b)", "P(Q(a, b))"),
+            (r"\A x : P(x)", r"\E x : P(x)"),
+            (r"\A x \in S, y : P(x, y)", r"\A x, y \in S : P(x, y)"),
+            ("TRUE", "FALSE"),
+            (r"a \in {x \in S : a \in S}", r"a \in {y \in S : a \in S}"),
+            (r"a \in {f[a] : x \in S}", r"a \in {f[a] : y \in S}"),
+            (r"P(x) /\ \A y : P(y)", r"P(x) /\ \A y : P(x)"),
+        ],
+        ids=[
+            "arity", "quantifier-kind", "domain-presence", "bool-value",
+            "comprehension-variable", "image-variable", "bound-or-free",
+        ],
+    )
+    def test_one_label_part_apart(self, a, b):
+        # the two differ only in the part the pair is named after
+        (shape_a, names_a, _), (shape_b, names_b, _) = map(prover._fingerprint, (pe(a), pe(b)))
+        assert names_a == names_b and shape_a != shape_b
 
 
 class TestMalformed:

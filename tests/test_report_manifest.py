@@ -14,7 +14,7 @@ the manifest from the repository root and review the diff:
 import hashlib
 from pathlib import Path
 
-from proofmgr.cli import RunConfig, check_file
+from proofmgr.cli import build_arg_parser, check_file
 
 DATA = Path(__file__).parent / "data"
 MANIFEST = DATA / "corpus_reports.sha256"
@@ -23,7 +23,8 @@ MANIFEST = DATA / "corpus_reports.sha256"
 def report_bytes(path: Path) -> bytes:
     """The CLI's standard output for the one file, default options."""
     chunks: list[str] = []
-    check_file(str(path), RunConfig([str(path)], prove_leaves=True, fmt="json"), chunks.append)
+    args = build_arg_parser().parse_args(["check", "--prove", "--format", "json", str(path)])
+    check_file(str(path), args, chunks.append)
     return "".join(chunks).encode("utf-8")
 
 
