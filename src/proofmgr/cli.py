@@ -35,14 +35,24 @@ next file.
 With several files, ``--emit-traces DIR`` writes each file's traces to its
 own subdirectory ``DIR/<position>-<stem>`` (position from 0 in the argument
 list), and ``--emit-embeddings PATH`` holds every file's embeddings in file
-order.
+order.  DIR is made only when a trace is written.
+
+``main`` returns the exit code to its caller.  A process (the installed
+``proofmgr`` script, or ``python -m proofmgr.cli``) runs ``console``: it
+flushes standard output and standard error once ``main`` returns and ends
+with ``os._exit``, without the interpreter's teardown (its final
+collection, and the freeing of every term and memo one by one), which a
+short run would otherwise pay at every start; ``atexit`` hooks do not run.
+A standard output that cannot be written, in the run or at that flush, is
+an I/O error: ``<stdout>: <error>`` on standard error, exit 4.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from pathlib import Path
 from time import perf_counter
 from typing import Optional, Union
@@ -195,7 +205,7 @@ def _report(path: str, args: argparse.Namespace, trace_dir: Optional[Path]) -> U
         full=args.format == "json" and not args.list_obligations,
     )
 
-    if trace_dir:
+    if traces:
         try:
             trace_dir.mkdir(parents=True, exist_ok=True)
             for idx, trace in traces.items():
@@ -214,21 +224,21 @@ def run(args: argparse.Namespace) -> int:
     embedded: list[str] = []
     code = 0
     # each file's report is written once the file is checked, chunk by
-    # chunk, so that no more than a chunk of its text is held
+    # chunk, so that no more than a chunk of its text is held; check_file
+    # handles its own files' errors, so an OSError here is the report's
     try:
-        sink = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
+            for position, path in enumerate(args.paths):
+                trace_dir = Path(args.emit_traces) if args.emit_traces else None
+                if trace_dir and len(args.paths) > 1:
+                    trace_dir = trace_dir / f"{position}-{Path(path).stem}"
+                file_code, embeddings = check_file(path, args, out.write, trace_dir)
+                code = max(code, file_code)
+                if embeddings is not None:
+                    embedded.append(embeddings)
     except OSError as err:
-        print(f"{args.out}: {err}", file=sys.stderr)
+        print(f"{args.out or '<stdout>'}: {err}", file=sys.stderr)
         return 4
-    with sink as out:
-        for position, path in enumerate(args.paths):
-            trace_dir = Path(args.emit_traces) if args.emit_traces else None
-            if trace_dir and len(args.paths) > 1:
-                trace_dir = trace_dir / f"{position}-{Path(path).stem}"
-            file_code, embeddings = check_file(path, args, out.write, trace_dir)
-            code = max(code, file_code)
-            if embeddings is not None:
-                embedded.append(embeddings)
     if embedded:
         try:
             Path(args.emit_embeddings).write_text("".join(embedded), encoding="utf-8")
@@ -295,5 +305,28 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 4
 
 
+def console() -> None:
+    """End the process with main's exit code, once standard output and
+    standard error are flushed, and without the interpreter's teardown.
+
+    A standard output that cannot be flushed is an I/O error (exit 4).  A
+    usage error leaves through argparse's SystemExit, as it does from main."""
+    code = main()
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except OSError as err:
+            # not reported again after exit 4: a write that failed in run
+            # was reported there, and what it left buffered fails again
+            if code != 4:
+                with suppress(OSError):
+                    print(f"<stdout>: {err}", file=sys.stderr)
+            code = 4
+    if sys.stderr is not None:
+        with suppress(OSError):
+            sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console()
