@@ -296,8 +296,24 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _same_file(a: str, b: str) -> bool:
+    """a and b are one file, or name one path when either does not exist."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return os.path.abspath(a) == os.path.abspath(b)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    parser = build_arg_parser()
+    args = parser.parse_args(argv)
+    # an output that is an input would be truncated before it is read, or
+    # overwritten after; two outputs in one file would overwrite each other
+    for option, target in (("--out", args.out), ("--emit-embeddings", args.emit_embeddings)):
+        if target and any(_same_file(target, path) for path in args.paths):
+            parser.error(f"{option} {target} is also an input file")
+    if args.out and args.emit_embeddings and _same_file(args.out, args.emit_embeddings):
+        parser.error("--out and --emit-embeddings name the same file")
     try:
         return run(args)
     except Exception as err:  # noqa: BLE001 - the contract maps crashes to exit 4

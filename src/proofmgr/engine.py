@@ -43,7 +43,6 @@ from .meta import (
     context_binds,
     fact,
     hiding_defs,
-    obligation_to_expression,
     reflect_binders,
     twin,
     unhide,
@@ -196,7 +195,7 @@ def expand_for_matching(o: Obligation) -> Obligation:
                 d = defs[name]
                 if isinstance(d, Lambda):
                     break  # needs arguments; leave for the caller to reject
-                goal = obligation_to_expression(d)
+                goal = d.expression
             case OpApp(name, args) if name in defs:
                 d = defs[name]
                 if not isinstance(d, Lambda) or len(d.params) != len(args):
@@ -301,24 +300,24 @@ class _Checker:
             spath = path + (token.name,)
             if isinstance(step.body, QedStep):
                 sub = self.check(step.body.proof, cur, spath, False)
-                nodes.append(Derivation("qed", cur, None, spath, children=(sub,), span=step.pos))
+                nodes.append(Derivation("qed", cur, None, spath, children=(sub,), span=token.pos))
                 break
             if idx == len(steps) - 1:
                 err = MeaninglessError(
                     f"step {token.name} is not QED but ends its sequence", path, cur
                 )
-                nodes.append(self._error_node("step", cur, spath, step.pos, err))
+                nodes.append(self._error_node("step", cur, spath, token.pos, err))
                 break
             try:
                 outcome = self.transform(token, step.body, cur, path, suppress_neg)
             except (MeaninglessError, MetaError) as err:
                 # recovery: siblings continue with the unrefined obligation
-                nodes.append(self._error_node("step", cur, spath, step.pos, err))
+                nodes.append(self._error_node("step", cur, spath, token.pos, err))
             else:
                 nodes.append(outcome.node)
                 cur = outcome.output
         return Derivation(
-            "sequence", obl, None, path, children=tuple(nodes), span=steps[0].pos
+            "sequence", obl, None, path, children=tuple(nodes), span=steps[0].token.pos
         )
 
     def _error_node(self, rule, obl, path, span, err) -> Derivation:

@@ -465,12 +465,12 @@ def _expand_obligation(o: Obligation, name: str, d) -> Obligation:
 def _expand_expr(e: Expr, name: str, d) -> Expr:
     if name not in free_identifiers(e):
         return e
-    return substitute(e, name, d if isinstance(d, Lambda) else obligation_to_expression(d))
+    return substitute(e, name, d if isinstance(d, Lambda) else d.expression)
 
 
 def expand_all_usable(o: Obligation, table: Optional[dict] = None) -> Obligation:
-    """Expand every usable definition left to right, then drop definitions
-    no later assumption or the goal still mentions.
+    """Expand every usable definition of a filtered obligation left to
+    right, and drop it.
 
     One walk over the context: each assumption, and then the goal, has the
     usable definitions before it that are free in it expanded in context
@@ -478,9 +478,9 @@ def expand_all_usable(o: Obligation, table: Optional[dict] = None) -> Obligation
     the fold of ``expand_definition`` over the usable definitions, since the
     checker rejects a second declaration of a name in the top-level context
     (``_declare``): no top-level binder can then shadow or capture one.  So
-    nothing after a usable definition mentions it once expanded, and
-    dropping drops each one; a hidden one is kept if a later kept
-    assumption or the goal mentions it.
+    nothing after a usable definition mentions it once expanded, and each
+    one is dropped.  Filtering makes every hidden definition a declaration;
+    a hidden definition left in o is a ValueError.
 
     table, kept across the leaves of one file, holds under "expanded" each
     expanded assumption, keyed on the identities of the assumption and of
@@ -492,35 +492,20 @@ def expand_all_usable(o: Obligation, table: Optional[dict] = None) -> Obligation
     table = {} if table is None else table
     named = table.setdefault("named", set())
     step = partial(_expanded, table.setdefault("expanded", {}), named)
-    ctx, (defs, hiding) = _prefixed(o.context, table, "expand", step, (None, False))
+    ctx, defs = _prefixed(o.context, table, "expand", step, None)
     goal = o.goal
     for name, d in zip(*_usable(free_identifiers(goal) & named, defs)):
         goal = _expand_expr(goal, name, d)
-    if not hiding:
-        return Obligation(ctx, goal)
-    kept: list[Assumption] = []
-    needed = set(free_identifiers(goal))
-    for h in reversed(ctx):
-        if isinstance(h, Def) and h.name not in needed:
-            continue
-        kept.append(h)
-        match h:
-            case New(name):
-                needed.discard(name)
-            case Def(name, definable, _):
-                needed.discard(name)
-                needed |= definable.free
-            case Fact(obl, _):
-                needed |= obl.free
-    return Obligation(tuple(reversed(kept)), goal)
+    return Obligation(ctx, goal)
 
 
-def _expanded(expanded: dict, named: set, h: Assumption, state):
-    """The step of ``expand_all_usable``: the state is the chain of usable
-    definitions before h, (name, expanded definable, the chain before), and
-    whether a hidden definition is among them; named holds the name of
-    every usable definition met, so most names are ruled out at once."""
-    defs, hiding = state
+def _expanded(expanded: dict, named: set, h: Assumption, defs):
+    """The step of ``expand_all_usable``: the state, defs, is the chain of
+    usable definitions before h, (name, expanded definable, the chain
+    before); named holds the name of every usable definition met, so most
+    names are ruled out at once."""
+    if isinstance(h, Def) and h.hidden:
+        raise ValueError(f"expansion of an unfiltered obligation: {h.name} is hidden")
     if defs is not None and not isinstance(h, New):
         free = h.definable.free if isinstance(h, Def) else h.obligation.free
         names, used = _usable(free & named, defs)
@@ -534,11 +519,9 @@ def _expanded(expanded: dict, named: set, h: Assumption, state):
                 hit = expanded[key] = (e, h, used)
             h = hit[0]
     if not isinstance(h, Def):
-        return h, state
-    if h.hidden:
-        return h, (defs, True)
+        return h, defs
     named.add(h.name)
-    return None, ((h.name, h.definable, defs), hiding)
+    return None, (h.name, h.definable, defs)
 
 
 def _usable(names, defs) -> tuple[tuple, tuple]:

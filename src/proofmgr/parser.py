@@ -172,7 +172,7 @@ class QedStep(ProofStep):
     __slots__ = ("proof",)
 
 
-class Step(Positioned):
+class Step(Node):
     __slots__ = ("token", "body")  # BeginStepToken, ProofStep
 
 
@@ -308,12 +308,12 @@ class _Parser:
         tightest = level == len(_BINARY) - 1
         left = self.negation() if tightest else self.expr(level + 1)
         while self.at(op):
-            t = self.next()
+            self.next()
             if self.at("\\A", "\\E"):  # a quantifier operand eats the rest
-                return make(left, self.quantified(), pos=t.pos)
+                return make(left, self.quantified())
             if op == "=>":  # right-associative
-                return make(left, self.expr(level), pos=t.pos)
-            left = make(left, self.negation() if tightest else self.expr(level + 1), pos=t.pos)
+                return make(left, self.expr(level))
+            left = make(left, self.negation() if tightest else self.expr(level + 1))
         return left
 
     def quantified(self) -> Expr:
@@ -321,7 +321,7 @@ class _Parser:
         kind = "forall" if t.kind == "\\A" else "exists"
         binders = self.comma_list(self.binder)
         self.expect(":")
-        return Quant(kind, binders, self.expr(), pos=t.pos)
+        return Quant(kind, binders, self.expr())
 
     def binder(self) -> Binder:
         name = self.ident()
@@ -332,8 +332,8 @@ class _Parser:
 
     def negation(self) -> Expr:
         if self.at("~"):
-            t = self.next()
-            return Neg(self.negation(), pos=t.pos)
+            self.next()
+            return Neg(self.negation())
         return self.relation()
 
     def relation(self) -> Expr:
@@ -341,22 +341,22 @@ class _Parser:
         t = self.peek()
         if t.kind in _REL_OPS:
             self.next()
-            return _REL_OPS[t.kind](left, self.set_term(), pos=t.pos)
+            return _REL_OPS[t.kind](left, self.set_term())
         return left
 
     def set_term(self) -> Expr:
         if self.at("SUBSET"):
-            t = self.next()
-            return PowerSet(self.set_term(), pos=t.pos)
+            self.next()
+            return PowerSet(self.set_term())
         return self.postfix()
 
     def postfix(self) -> Expr:
         e = self.primary()
         while self.at("["):
-            t = self.next()
+            self.next()
             arg = self.expr()
             self.expect("]")
-            e = FnApp(e, arg, pos=t.pos)
+            e = FnApp(e, arg)
         return e
 
     def primary(self) -> Expr:
@@ -368,14 +368,14 @@ class _Parser:
                     self.next()
                     args = self.comma_list(self.expr)
                     self.expect(")")
-                    return OpApp(t.value, args, pos=t.pos)
-                return Ident(t.value, pos=t.pos)
+                    return OpApp(t.value, args)
+                return Ident(t.value)
             case "STEPREF":
                 self.next()
-                return Ident(t.value, pos=t.pos)
+                return Ident(t.value)
             case "TRUE" | "FALSE":
                 self.next()
-                return Bool(t.kind == "TRUE", pos=t.pos)
+                return Bool(t.kind == "TRUE")
             case "(":
                 self.next()
                 e = self.expr()
@@ -389,17 +389,17 @@ class _Parser:
                 self.expect("->")
                 cod = self.expr()
                 self.expect("]")
-                return FuncSpace(dom, cod, pos=t.pos)
+                return FuncSpace(dom, cod)
             case "\\A" | "\\E":
                 return self.quantified()
             case _:
                 raise self.fail("expression")
 
     def set_display(self) -> Expr:
-        t = self.expect("{")
+        self.expect("{")
         if self.at("}"):
             self.next()
-            return Ident("{}", pos=t.pos)  # uninterpreted empty-set constant
+            return Ident("{}")  # uninterpreted empty-set constant
         if self.at("IDENT") and self.peek(1).kind == "\\in":
             var = self.next().value
             self.next()
@@ -407,14 +407,14 @@ class _Parser:
             self.expect(":")
             pred = self.expr()
             self.expect("}")
-            return SetComp(var, domain, pred, pos=t.pos)
+            return SetComp(var, domain, pred)
         expr = self.expr()
         self.expect(":")
         var = self.ident()
         self.expect("\\in")
         domain = self.set_term()
         self.expect("}")
-        return SetImage(expr, var, domain, pos=t.pos)
+        return SetImage(expr, var, domain)
 
     # -- proofs -------------------------------------------------------------
 
@@ -505,14 +505,14 @@ class _Parser:
                 seen.add(token.name)
             body = self.step_body(token)
             qed_seen = isinstance(body, QedStep)
-            steps.append(Step(token, body, pos=token.pos))
+            steps.append(Step(token, body))
         if not steps:
             t = self.peek()
             raise LevelError("empty step sequence", t.pos)
         if not qed_seen:
             t = self.peek()
             raise LevelError(f"step sequence at level {level} has no QED step", t.pos)
-        return NonLeaf(tuple(steps), pos=steps[0].pos)
+        return NonLeaf(tuple(steps))
 
     def step_body(self, token: BeginStepToken) -> ProofStep:
         t = self.peek()

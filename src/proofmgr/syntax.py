@@ -2,10 +2,10 @@
 
 Every record of proofmgr, expression nodes included, is a ``Node``: a
 slotted, immutable record whose fields are listed once, in ``__slots__``.
-Equality compares the fields of two nodes of the same class; source
-positions are carried on expression and proof nodes but are no field, so
-structurally identical expressions compare equal regardless of where they
-were parsed.  Each node computes its structural hash on first use and
+Equality compares the fields of two nodes of the same class.  An expression
+node is exactly its fields: only proof leaves and step tokens (``parser``)
+carry a source position, which is no field, so it is neither compared nor
+shown.  Each node computes its structural hash on first use and
 caches it in a slot, so hashing a term costs O(1) per node once; ``pretty``
 caches a term's rendering on its root node the same way, so a term that
 sibling leaves share is rendered once; a term's free names are kept in a
@@ -18,10 +18,15 @@ their names in their body only; binder domains are scoped to the enclosing
 context, so a domain that names a sibling binder reads that name from the
 context (``split_binder`` keeps this when a quantifier is taken apart).
 
-Node shape: ``children`` and ``scoped`` give a node's subterms, and
-``_label`` what else two nodes of one type must share to be equal.
-Unification and congruence (``tableau``) and the prover's memo key
-(``prover._fingerprint``) compare nodes by these alone.
+Node shape: each expression class names the fields that hold its
+subterms once, in ``_subterms`` (by default every field; ``Ident`` and
+``Bool`` have none, and a comprehension's bound variable is none), and
+``children`` and ``map_children`` read them from there; only an operator
+application's arguments and a quantifier's binder domains, which sit
+inside tuples, are read case by case.  ``children`` and ``scoped`` give a
+node's subterms, and ``_label`` what else two nodes of one type must share
+to be equal.  Unification and congruence (``tableau``) and the prover's
+memo key (``prover._fingerprint``) compare nodes by these alone.
 """
 
 from __future__ import annotations
@@ -50,11 +55,9 @@ class Node:
             raise TypeError(f"{cls.__name__} must declare __slots__")
         fields = cls._fields + tuple(f for f in cls.__slots__ if not f.startswith("_"))
         cls._fields = cls.__match_args__ = fields
-        if len(fields) == 1:
-            key = attrgetter(fields[0])  # compared as a scalar, hashed as a 1-tuple
-            astuple = lambda self: (key(self),)  # noqa: E731
-        else:
-            key = astuple = attrgetter(*fields) if fields else lambda self: ()
+        astuple = _getter(fields)
+        # one field is compared as a scalar, and hashed as a 1-tuple
+        key = attrgetter(fields[0]) if len(fields) == 1 else astuple
         set_hash = Node._hash.__set__  # type: ignore[attr-defined]
 
         def __eq__(self, other):
@@ -95,6 +98,14 @@ class Node:
     def __reduce__(self):
         # the state, a positioned node's position, goes to __setstate__
         return type(self), tuple(getattr(self, f) for f in self._fields), getattr(self, "_pos", None)
+
+
+def _getter(names: tuple[str, ...]):
+    """A function from a node to the tuple of its named fields' values."""
+    if len(names) == 1:
+        get = attrgetter(names[0])
+        return lambda node: (get(node),)
+    return attrgetter(*names) if names else lambda node: ()
 
 
 def _init(setters):
@@ -185,8 +196,18 @@ class Pos(Node):
         return f"{self.line}:{self.col}"
 
 
-class Expr(Positioned):
+class Expr(Node):
+    """A term.  A subclass names the fields that hold its subterms in
+    ``_subterms``, once: every field unless it says otherwise."""
+
     __slots__ = ("_pretty", "_names")
+    _subterms: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        if "_subterms" not in cls.__dict__:
+            cls._subterms = cls._fields
+        cls._children = staticmethod(_getter(cls._subterms))
 
 
 _set_pretty = Expr._pretty.__set__  # type: ignore[attr-defined]
@@ -195,12 +216,14 @@ _set_names = Expr._names.__set__  # type: ignore[attr-defined]
 
 class Ident(Expr):
     __slots__ = ("name",)
+    _subterms = ()
 
 
 class OpApp(Expr):
     """Operator application with explicit arguments, ``P(a, b)``."""
 
     __slots__ = ("name", "args")
+    _subterms = ("args",)  # a tuple of terms
 
 
 class FnApp(Expr):
@@ -218,6 +241,7 @@ class Binder(Node):
 
 class Quant(Expr):
     __slots__ = ("kind", "binders", "body")  # kind: "forall" | "exists"
+    _subterms = ("binders", "body")  # the binders' domains and the body
 
     def _check(self) -> None:
         if not self.binders:
@@ -274,12 +298,14 @@ class SetComp(Expr):
     """Bounded comprehension ``{x \\in S : P}``; binds var in pred."""
 
     __slots__ = ("var", "domain", "pred")
+    _subterms = ("domain", "pred")
 
 
 class SetImage(Expr):
     """Image set ``{e : x \\in S}``; binds var in expr."""
 
     __slots__ = ("expr", "var", "domain")
+    _subterms = ("expr", "domain")
 
 
 class FuncSpace(Expr):
@@ -290,61 +316,28 @@ class FuncSpace(Expr):
 
 class Bool(Expr):
     __slots__ = ("value",)
+    _subterms = ()
 
 
 TRUE = Bool(True)
 FALSE = Bool(False)
 
-_BINARY = (And, Or, Implies, Iff, Eq, Ne, Subseteq)
 
-
-def children(e: Expr) -> Iterator[Expr]:
-    """All direct subexpressions, binder domains included."""
+def children(e: Expr) -> tuple[Expr, ...]:
+    """All direct subexpressions, binder domains included, in field order."""
     match e:
-        case Ident() | Bool():
-            return
         case OpApp(_, args):
-            yield from args
-        case FnApp(fn, arg):
-            yield fn
-            yield arg
+            return args
         case Quant(_, binders, body):
-            for b in binders:
-                if b.domain is not None:
-                    yield b.domain
-            yield body
-        case Neg(item):
-            yield item
-        case In(item, s) | NotIn(item, s):
-            yield item
-            yield s
-        case PowerSet(s):
-            yield s
-        case SetComp(_, domain, pred):
-            yield domain
-            yield pred
-        case SetImage(expr, _, domain):
-            yield expr
-            yield domain
-        case FuncSpace(dom, cod):
-            yield dom
-            yield cod
-        case _ if isinstance(e, _BINARY):
-            yield e.left  # type: ignore[attr-defined]
-            yield e.right  # type: ignore[attr-defined]
-        case _:
-            raise TypeError(f"unknown expression node {type(e).__name__}")
+            return (*(b.domain for b in binders if b.domain is not None), body)
+    return type(e)._children(e)
 
 
 def map_children(e: Expr, f) -> Expr:
     """The same node with f applied to every direct subexpression."""
     match e:
-        case Ident() | Bool():
-            return e
         case OpApp(n, args):
-            return OpApp(n, tuple(f(a) for a in args))
-        case FnApp(fn, arg):
-            return FnApp(f(fn), f(arg))
+            return OpApp(n, tuple(map(f, args)))
         case Quant(kind, binders, body):
             return Quant(
                 kind,
@@ -354,22 +347,13 @@ def map_children(e: Expr, f) -> Expr:
                 ),
                 f(body),
             )
-        case Neg(item):
-            return Neg(f(item))
-        case In(i, st):
-            return In(f(i), f(st))
-        case NotIn(i, st):
-            return NotIn(f(i), f(st))
-        case PowerSet(st):
-            return PowerSet(f(st))
-        case SetComp(var, domain, pred):
-            return SetComp(var, f(domain), f(pred))
-        case SetImage(expr, var, domain):
-            return SetImage(f(expr), var, f(domain))
-        case FuncSpace(dom, cod):
-            return FuncSpace(f(dom), f(cod))
-        case _:
-            return type(e)(f(e.left), f(e.right))  # type: ignore[attr-defined]
+    cls = type(e)
+    if not cls._subterms:
+        return e
+    new = map(f, cls._children(e))
+    if len(cls._subterms) == len(cls._fields):
+        return cls(*new)
+    return cls(*[next(new) if n in cls._subterms else getattr(e, n) for n in cls._fields])
 
 
 def free_identifiers(e: Expr) -> frozenset[str]:
@@ -674,7 +658,7 @@ def _render(e: Expr) -> str:
             return f"{{{_render(expr)} : {var} \\in {_at(domain, 6)}}}"
         case FuncSpace(dom, cod):
             return f"[{_render(dom)} -> {_render(cod)}]"
-        case _ if isinstance(e, _BINARY):
+        case _ if type(e) in _REL:
             op = _REL[type(e)]
             return f"{_at(e.left, 7)} {op} {_at(e.right, 7)}"  # type: ignore[attr-defined]
         case _:

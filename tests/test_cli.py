@@ -152,6 +152,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("usage: proofmgr check") and f"argument {option}: invalid" in err
 
+    @pytest.mark.parametrize("option", ["--out", "--emit-embeddings"])
+    def test_an_output_that_is_an_input_is_a_usage_error(self, capsys, tmp_path, option):
+        # it would be truncated before it is read, or overwritten after
+        text = Path(TRUE_QED).read_bytes()
+        first, second = tmp_path / "first.tla", tmp_path / "second.tla"
+        first.write_bytes(text)
+        second.write_bytes(text)
+        same = str(tmp_path / "." / "second.tla")  # another spelling of second
+        with pytest.raises(SystemExit) as stopped:
+            main(["check", "--prove", str(first), str(second), option, same])
+        assert stopped.value.code == 2
+        assert first.read_bytes() == second.read_bytes() == text
+        assert f"error: {option} {same} is also an input file" in capsys.readouterr().err
+
+    def test_both_outputs_in_one_file_is_a_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "out.txt"
+        with pytest.raises(SystemExit) as stopped:
+            main(["check", TRUE_QED, "--out", str(out), "--emit-embeddings", str(out)])
+        assert stopped.value.code == 2 and not out.exists()
+        assert "--out and --emit-embeddings name the same file" in capsys.readouterr().err
+
     def test_failed_leaf_is_two(self, capsys, tmp_path):
         p = tmp_path / "unprovable.tla"
         p.write_text("THEOREM ASSUME NEW P, NEW Q, P PROVE Q\n<1>1. QED OBVIOUS\n")

@@ -690,7 +690,7 @@ class TestNode:
         assert V.Budget() == V.Budget(12, 5000, 4) and V.Budget(timeout_ms=1).timeout_ms == 1
         assert V.Unknown("exhausted").stats == V.Stats(0, 0, 0)
         assert E.Derivation("r", "i", None, (), span=_AT).children == ()
-        assert S.Ident("x", pos=_AT).pos == _AT and S.Ident("x").pos is None
+        assert P.Obvious(pos=_AT).pos == _AT and P.Obvious().pos is None
         with pytest.raises(ValueError, match="at least one binder"):
             S.Quant("forall", (), _X)
         with pytest.raises(M.DuplicateBinder):
@@ -703,6 +703,7 @@ class TestNode:
             lambda: S.And(_X, _Y, left=_X),
             lambda: S.And(_X, _Y, colour=1),
             lambda: M.New("x", pos=_AT),
+            lambda: S.Ident("x", pos=_AT),
             lambda: E.Derivation("r"),
         ):
             with pytest.raises(TypeError):
@@ -727,6 +728,81 @@ class TestNode:
         theorem = P.parse_theorem(cantor_text())
         _check_node_semantics(theorem, random.Random(1))
         _check_node_semantics(E.check_theorem(theorem), random.Random(2))
+
+
+# Each expression class and the fields that hold its subterms, stated here
+# apart from the classes' own declarations: an application's arguments and
+# a quantifier's binder domains sit inside tuples
+SUBTERMS = {
+    S.Ident: (), S.Bool: (), S.OpApp: ("args",), S.FnApp: ("fn", "arg"),
+    S.Quant: ("binders", "body"), S.Neg: ("item",), S.And: ("left", "right"),
+    S.Or: ("left", "right"), S.Implies: ("left", "right"), S.Iff: ("left", "right"),
+    S.Eq: ("left", "right"), S.Ne: ("left", "right"), S.In: ("item", "set"),
+    S.NotIn: ("item", "set"), S.Subseteq: ("left", "right"), S.PowerSet: ("set",),
+    S.SetComp: ("domain", "pred"), S.SetImage: ("expr", "domain"),
+    S.FuncSpace: ("dom", "cod"),
+}
+# a value for each field that holds no subterm
+_NOT_TERMS = {"name": "n", "value": True, "kind": "exists", "var": "v"}
+
+
+def _shaped(cls):
+    """A node of cls with a distinct term in each of its subterms, and
+    those terms in field order."""
+    terms = [S.Ident(f"t{k}") for k in range(4)]
+    values = []
+    for f in cls._fields:
+        if f not in SUBTERMS[cls]:
+            values.append(_NOT_TERMS[f])
+        elif f == "args":
+            values.append((terms[0], terms[1]))
+        elif f == "binders":
+            values.append((S.Binder("a", terms[0]), S.Binder("b"), S.Binder("c", terms[1])))
+        else:
+            values.append(terms.pop())
+    node = cls(*values)
+    return node, tuple(c for c in _reachable(tuple(values)) if isinstance(c, S.Ident))
+
+
+class TestNodeShape:
+    def test_every_expression_class_is_listed(self):
+        assert set(_record_classes(S.Expr)) == set(SUBTERMS)
+        assert all(cls._subterms == names for cls, names in SUBTERMS.items())
+
+    @pytest.mark.parametrize("cls", SUBTERMS, ids=[c.__name__ for c in SUBTERMS])
+    def test_children_and_map_children_read_the_subterms(self, cls):
+        node, subterms = _shaped(cls)
+        assert children(node) == subterms
+        seen = []
+        mapped = map_children(node, lambda c: seen.append(c) or S.Neg(c))
+        assert tuple(seen) == subterms
+        assert type(mapped) is cls and children(mapped) == tuple(map(S.Neg, subterms))
+        # nothing but the subterms changed
+        assert map_children(mapped, lambda c: c.item) == node
+        assert map_children(node, lambda c: c) == node
+
+    def test_positions_on_proof_leaves_and_step_tokens_only(self):
+        text = (
+            "THEOREM T == ASSUME NEW S, NEW x \\in S PROVE x \\in S\n"
+            "<1>1. x = x\n"
+            "  OBVIOUS\n"
+            "<1>2. x \\in S\n"
+            "  PROOF OMITTED\n"
+            "<1>3. x \\in S => x \\in S\n"
+            "<1>4. QED\n"
+            "  BY <1>1, <1>2\n"
+        )
+        theorem = P.parse_theorem(text)
+        found = list(_reachable(theorem))
+        assert not any(isinstance(n, (S.Expr, P.Step)) and hasattr(n, "pos") for n in found)
+        positioned = [(type(n).__name__, str(n.pos)) for n in found if hasattr(n, "pos")]
+        assert positioned == [
+            ("NonLeaf", "None"),
+            ("BeginStepToken", "2:1"), ("Obvious", "3:3"),
+            ("BeginStepToken", "4:1"), ("Omitted", "5:9"),
+            ("BeginStepToken", "6:1"), ("Omitted", "7:1"),  # implicit, at the next step
+            ("BeginStepToken", "7:1"), ("By", "8:3"),
+        ]
 
 
 def test_cli_imports_neither_dataclasses_nor_inspect():
