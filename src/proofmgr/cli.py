@@ -24,10 +24,13 @@ reused outcomes included; a trace that does not replay makes the leaf
 
 A file's leaves are prepared (filtered and expanded) through one table: it
 keeps each expanded assumption and the state after each context prefix the
-leaves share, so that a leaf walks only the items it adds.  The derivation
-is freed once the file is checked, the table once its leaves are prepared,
-and all but the file's report before its text is rendered, where memory
-peaks; the text is written out before the next file is checked.  An output
+leaves share, so that a leaf walks only the items it adds.  The report
+and the embeddings show each leaf's prepared obligation, or with
+``--raw-filtered`` its filtered one, made through the same table.  The
+derivation is freed once the file is checked, the table once its leaves
+are prepared, and all but the file's report before its text is rendered,
+where memory peaks; the text is written out before the next file is
+checked.  An output
 path that cannot be written is an I/O error (exit 4, the path and the
 error on standard error); with ``--emit-traces``, the run goes on with the
 next file.
@@ -166,8 +169,11 @@ def _report(path: str, args: argparse.Namespace, trace_dir: Optional[Path]) -> U
 
     # the prover, the report and the embeddings share one prepared
     # obligation per leaf, and the leaves one table (prepared_obligation),
-    # which is freed once they are prepared
+    # which is freed once they are prepared; with --raw-filtered the report
+    # and the embeddings show the filtered obligation instead, made through
+    # the same table, where the filter's prefix states already sit
     prepared = []
+    shown = [] if args.raw_filtered else prepared
     table: dict = {}
     for record in checked.records:
         try:
@@ -177,6 +183,8 @@ def _report(path: str, args: argparse.Namespace, trace_dir: Optional[Path]) -> U
             at = f" at {record.span}" if record.span else ""
             print(f"{path}: ill-formed theorem: leaf {leaf}{at}: {err}", file=sys.stderr)
             return 3
+        if args.raw_filtered:
+            shown.append(prepared_obligation(record, False, table))
     del table
     # a listing stops before the prover, with or without --prove
     proving = args.prove and not args.list_obligations
@@ -200,8 +208,7 @@ def _report(path: str, args: argparse.Namespace, trace_dir: Optional[Path]) -> U
         theorem.name,
         checked,
         outcomes,
-        expand_filtered=not args.raw_filtered,
-        prepared=prepared,
+        shown,
         full=args.format == "json" and not args.list_obligations,
     )
 
@@ -213,7 +220,7 @@ def _report(path: str, args: argparse.Namespace, trace_dir: Optional[Path]) -> U
         except OSError as err:
             print(f"{trace_dir}: {err}", file=sys.stderr)
             return 4
-    embeddings = write_embeddings(prepared) if args.emit_embeddings else None
+    embeddings = write_embeddings(shown) if args.emit_embeddings else None
     return report, embeddings
 
 

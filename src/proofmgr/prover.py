@@ -45,9 +45,9 @@ one under other names gets it with the names mapped over, a mapped trace
 replayed against its own entries before it is given.  The search makes the
 same choices under a renaming, except the names it gives bound variables
 (``z`` or a bound name, with any digits after it), which avoid the names
-that occur; so an obligation whose renaming moves such a name is searched
-itself, as is one whose mapped trace does not replay.  A timeout is never
-stored.
+that occur; so replay alone decides: a mapped trace that moves such a name
+does not replay, and an obligation whose mapped trace does not replay is
+searched itself.  A timeout is never stored.
 
 A formula's shape (``_fingerprint``) is memoised too, for every search it
 occurs in, as are its normal form and expansion (``tableau``).  The CLI
@@ -399,18 +399,16 @@ def _search(initial: tuple[Expr, ...], budget: Budget) -> ProverOutcome:
 
 
 @functools.lru_cache(maxsize=4096)
-def _fingerprint(e: Expr) -> tuple[tuple, tuple[str, ...], tuple[str, ...]]:
-    """(shape, names, bound) of an initial entry.  The shape lists e's nodes
-    in preorder (``syntax.scoped``), each as its type and label
+def _fingerprint(e: Expr) -> tuple[tuple, tuple[str, ...]]:
+    """(shape, names) of an initial entry.  The shape lists e's nodes in
+    preorder (``syntax.scoped``), each as its type and label
     (``syntax._label``), except that a free name is its type, its index in
     names and its number of subterms; names lists the free names in order
-    of first occurrence.  Bound names stay as they are, and bound lists
-    them.  A node's type and label fix how many subterms it has, so two
-    entries have the same shape iff one is the other with its free names
-    renamed bijectively."""
+    of first occurrence.  Bound names stay as they are.  A node's type and
+    label fix how many subterms it has, so two entries have the same shape
+    iff one is the other with its free names renamed bijectively."""
     shape: list = []
     names: dict[str, int] = {}
-    binders: set[str] = set()
     todo = [(e, frozenset())]
     while todo:
         e, bound = todo.pop()
@@ -420,9 +418,8 @@ def _fingerprint(e: Expr) -> tuple[tuple, tuple[str, ...], tuple[str, ...]]:
         else:
             shape.extend((type(e), _label(e)))
         for c, b in reversed(kids):
-            binders.update(b)
             todo.append((c, bound.union(b) if b else bound))
-    return tuple(shape), tuple(names), tuple(binders)
+    return tuple(shape), tuple(names)
 
 
 def _class_of(initial: tuple[Expr, ...], budget: Budget) -> tuple[tuple, tuple[str, ...]]:
@@ -434,36 +431,10 @@ def _class_of(initial: tuple[Expr, ...], budget: Budget) -> tuple[tuple, tuple[s
     index: dict[str, int] = {}
     shapes, links = [], []
     for e in initial:
-        shape, names, _ = _fingerprint(e)
+        shape, names = _fingerprint(e)
         shapes.append(shape)
         links.extend([index.setdefault(n, len(index)) for n in names])
     return (tuple(shapes), tuple(links), budget), tuple(index)
-
-
-def _may_bind(name: str, bases: set[str]) -> bool:
-    """A rule may give a bound variable this name: it is a base (a bound
-    name of the entries, or ``z``) with digits or nothing after it."""
-    return any(
-        name.startswith(b) and (len(name) == len(b) or name[len(b):].isdigit()) for b in bases
-    )
-
-
-def _renaming(
-    searched: tuple[str, ...], names: tuple[str, ...], initial: tuple[Expr, ...]
-) -> Optional[dict[str, str]]:
-    """The names searched mapped to the names of the same class, or None
-    when a rule may give a bound variable a renamed name: the bound names
-    the rules choose avoid the names that occur, so only when none is
-    renamed is the search under names the first one with the names mapped
-    over."""
-    bases = {"z"}.union(*(_fingerprint(e)[2] for e in initial))
-    mapping = {}
-    for a, b in zip(searched, names):
-        if a != b:
-            if _may_bind(a, bases) or _may_bind(b, bases):
-                return None
-            mapping[a] = b
-    return mapping
 
 
 # The rule field of each trace line, or a name elsewhere (not a keyword
@@ -520,16 +491,13 @@ def _reuse(stored, names: tuple[str, ...], initial: tuple[Expr, ...]) -> Optiona
     from initial under its names: as stored when the names and the entries
     are the same; else with the names mapped over, a trace only when it
     replays against initial; None when the entries differ under the same
-    names, the names cannot be mapped or the trace does not replay."""
+    names or the trace does not replay."""
     searched, entries, outcome = stored
     if searched == names:
         return outcome if entries == initial else None
-    mapping = _renaming(searched, names, initial)
-    if mapping is None:
-        return None
     if not isinstance(outcome, Proved):
         return outcome
-    trace = _rename_trace(outcome.trace, mapping)
+    trace = _rename_trace(outcome.trace, dict(zip(searched, names)))
     return Proved(trace) if _replay(initial, trace).ok else None
 
 

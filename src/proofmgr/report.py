@@ -22,9 +22,7 @@ import json
 from typing import Iterator, Optional, Sequence
 
 from .engine import CheckedTheorem, LeafObligationRecord
-from .meta import (
-    Obligation, _embed, embed, expand_all_usable, filter_obligation, render_obligation
-)
+from .meta import Obligation, _embed, expand_all_usable, filter_obligation, render_obligation
 from .syntax import Node
 
 STATUSES = ("PROVED", "INCOMPLETE", "FAILED", "MEANINGLESS", "CHECKED")
@@ -65,21 +63,21 @@ def build_report(
     name: Optional[str],
     checked: CheckedTheorem,
     outcomes: Optional[dict[int, tuple[str, Optional[float]]]],
-    expand_filtered: bool = True,
-    prepared: Optional[Sequence[Obligation]] = None,
+    shown: Optional[Sequence[Obligation]] = None,
     full: bool = True,
 ) -> ObligationReport:
     """Assemble the report; outcomes maps leaf index to (outcome, millis),
-    None meaning a structure-only run.  prepared, when given, holds
-    prepared_obligation(record) of every record, reused instead of computed
-    again when expand_filtered is on.  Without full, a leaf's raw
-    obligation and embedding, which only the JSON format prints, are None.
-    Each distinct assumption is rendered and embedded once, through memos
-    that live only while the report is built; a checked theorem's leaves
-    are well-formed, so an embedding is not checked again."""
-    if prepared is None or not expand_filtered:
+    None meaning a structure-only run.  shown holds the obligation each
+    leaf shows as ``filtered`` and embeds; when it is not given, each
+    record's prepared_obligation, made through one table.  Without full, a
+    leaf's raw obligation and embedding, which only the JSON format prints,
+    are None.  Each distinct assumption is rendered and embedded once,
+    through memos that live only while the report is built; a checked
+    theorem's leaves are well-formed, so an embedding is not checked
+    again."""
+    if shown is None:
         table: dict = {}
-        prepared = [prepared_obligation(r, expand_filtered, table) for r in checked.records]
+        shown = [prepared_obligation(r, table=table) for r in checked.records]
         del table
     rendered: dict = {}
     embedded: dict = {}
@@ -95,8 +93,8 @@ def build_report(
                 kind=record.kind,
                 omitted=record.omitted,
                 obligation=render_obligation(record.obligation, rendered) if full else None,
-                filtered=render_obligation(prepared[idx], rendered),
-                embedding=_embed(prepared[idx], embedded) if full else None,
+                filtered=render_obligation(shown[idx], rendered),
+                embedding=_embed(shown[idx], embedded) if full else None,
                 outcome=outcome,
                 millis=millis,
             )
@@ -160,6 +158,9 @@ def _path_key(path: str):
     return key
 
 
-def write_embeddings(obligations: list[Obligation]) -> str:
-    """One embedding per line, in the order given."""
-    return "".join(embed(o) + "\n" for o in obligations)
+def write_embeddings(shown: Sequence[Obligation]) -> str:
+    """One embedding per line, in the order given: the report's
+    ``embedding`` of each leaf shown.  Each distinct assumption is embedded
+    once, through one memo, and nothing is checked again."""
+    embedded: dict = {}
+    return "".join(_embed(o, embedded) + "\n" for o in shown)

@@ -52,6 +52,17 @@ RENAMED_TWICE = r"""THEOREM Twice == TRUE
 <1>5. QED OBVIOUS
 """
 
+# F(S) is proved by TAKE: the goal's head F is a definition with a
+# parameter, expanded to show its quantifier
+LAMBDA_TAKE = r"""THEOREM LambdaTake == ASSUME NEW S, NEW P, \A x \in S : P(x)
+                      PROVE \A x \in S : P(x)
+<1>1. DEFINE F(X) == \A x \in X : P(x)
+<1>2. F(S)
+  <2>1. TAKE y \in S
+  <2>2. QED OBVIOUS
+<1>3. QED BY <1>2 DEF F
+"""
+
 
 def count_replays(monkeypatch) -> list:
     """The (initial entries, trace) of every replay run from now on."""
@@ -464,6 +475,22 @@ class TestModes:
             assert got["status"] == plain["status"]
             expanded += sum(a["filtered"] != b["filtered"] for a, b in zip(got["leaves"], plain["leaves"]))
         assert expanded  # some leaf's definitions are expanded by default
+
+    @pytest.mark.parametrize("options", [[], ["--raw-filtered"]], ids=["prepared", "raw-filtered"])
+    def test_embeddings_file_holds_the_reports_embeddings(self, capsys, tmp_path, options):
+        target = tmp_path / "embeddings.txt"
+        argv = ["check", *options, "--format", "json", "--emit-embeddings", str(target)]
+        code, out, _ = run(capsys, *argv, CANTOR, PICK)
+        assert code == 0
+        want = [leaf["embedding"] for report in reports_of(out) for leaf in report["leaves"]]
+        assert target.read_text(encoding="utf-8").splitlines() == want and len(want) == 13
+
+    def test_take_against_a_goal_headed_by_a_lambda_definition(self, capsys, tmp_path):
+        path = tmp_path / "lambda_take.tla"
+        path.write_text(LAMBDA_TAKE)
+        code, out, _ = run(capsys, "check", "--prove", str(path))
+        assert code == 0
+        assert "NEW y, y \\in S |- P(y)" in out
 
 
 def reports_of(text: str) -> list[dict]:

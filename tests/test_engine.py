@@ -223,6 +223,24 @@ class TestTake:
             "<1>2. QED OMITTED\n"
         ) == ("<1>1", "x is already bound")
 
+    # a usable definition with a parameter, heading the goal
+    LAMBDA_F = Def("F", Lambda(("X",), pe(r"\A x \in X : P(x)")))
+
+    def test_goal_headed_by_a_lambda_definition(self):
+        o = obl([New("S"), New("P"), self.LAMBDA_F], "F(S)")
+        out = transform_step(TOK, TakeStep((Binder("y", Ident("S")),)), o)
+        assert out.output == obl(
+            [New("S"), New("P"), self.LAMBDA_F, New("y"), fact(pe(r"y \in S"))], "P(y)"
+        )
+
+    @pytest.mark.parametrize("goal", ["F", "F(S, S)"], ids=["no-arguments", "two-arguments"])
+    def test_lambda_definition_not_applied_to_its_parameters(self, goal):
+        # the goal's head expands only when F gets one argument per parameter
+        o = obl([New("S"), New("P"), self.LAMBDA_F], goal)
+        with pytest.raises(MeaninglessError) as exc:
+            transform_step(TOK, TakeStep((Binder("y", Ident("S")),)), o)
+        assert "TAKE requires a universally quantified goal" in str(exc.value)
+
     def test_take_list_folds(self):
         o = obl([New("P")], r"\A x : \A y : P(x, y)")
         out = transform_step(TOK, TakeStep((Binder("x"), Binder("y"))), o)

@@ -529,6 +529,39 @@ class TestTraces:
         assert not result.ok
         assert "line 1" in result.error
 
+    # entries 0-2: the hypotheses and the negated goal Q; the beta line
+    # continues on 5:Q and defers 4:~P(?1), so 4 is off the open branch
+    # until line 4
+    GAMMA_BETA = Sequent(("P", "Q", "a"), (pe(r"\A x : P(x) => Q"), pe("P(a)")), pe("Q"))
+    GAMMA_BETA_TRACE = (
+        "gamma\t0\t?1\t3:P(?1) => Q\n"
+        "beta\t3\t4:~P(?1)\t5:Q\n"
+        "close\t2\t5\t\n"
+        "close\t1\t4\t?1 := a\n"
+    )
+
+    @pytest.mark.parametrize(
+        "old, new, error",
+        [
+            ("?1 := a\n", "?1 := a\nclose\t1\t4\t?1 := a\n",
+             "line 5: all branches already closed"),
+            ("beta\t3\t", "beta\tthree\t", "line 2: malformed principal index"),
+            ("close\t2\t5\t", "close\t4\t5\t", "line 3: principal 4 not on the open branch"),
+            ("close\t2\t5\t", "close\t2\tfive\t", "line 3: malformed closure pair"),
+            ("close\t2\t5\t", "close\t2\t4\t", "line 3: formula 4 not on the open branch"),
+            ("gamma\t0\t?1\t", "gamma\t0\tx1\t", "line 1: malformed introduced name"),
+        ],
+        ids=[
+            "after-the-last-branch", "principal-not-an-integer", "principal-off-the-branch",
+            "pair-not-an-integer", "pair-off-the-branch", "introduced-name",
+        ],
+    )
+    def test_malformed_trace_line_rejected(self, old, new, error):
+        assert proved(self.GAMMA_BETA).trace == self.GAMMA_BETA_TRACE
+        assert self.GAMMA_BETA_TRACE.count(old) == 1
+        result = replay_trace(self.GAMMA_BETA, self.GAMMA_BETA_TRACE.replace(old, new))
+        assert not result.ok and result.error == error
+
     def test_trace_text_is_the_formula_when_its_rule_fired(self):
         # the closing line binds ?1; the gamma line still shows P(?1)
         seq = Sequent(("P", "a"), (pe(r"\A x : P(x)"),), pe("P(a)"))
@@ -1072,6 +1105,19 @@ class TestMemo:
         assert prove(b) == _search(_initial(b), Budget())
         assert (prover._memo.hits, prover._memo.misses) == (0, 2)
 
+    def test_the_memo_keeps_only_the_latest_outcomes(self, monkeypatch):
+        monkeypatch.setattr(prover._Memo, "size", 2)
+        a = Sequent(("P", "Q"), (pe("P"), pe("P => Q")), pe("Q"))
+        b = Sequent(("P", "Q"), (pe(r"P /\ Q"),), pe("Q"))
+        c = Sequent(("P", "Q"), (), pe(r"P \/ ~P"))
+        for seq in (a, b, c):
+            proved(seq)
+        assert (prover._memo.hits, prover._memo.misses, len(prover._memo.stored)) == (0, 3, 2)
+        # a's outcome, the oldest, made room for c's: a renamed a is searched
+        renamed = rename_sequent(a, {"P": "R"})
+        assert prove(renamed) == _search(_initial(renamed), Budget())
+        assert (prover._memo.hits, prover._memo.misses) == (0, 4)
+
 
 # Images for the names of a sequent that no rule gives a bound variable
 # and no generated sequent binds
@@ -1159,17 +1205,18 @@ class TestRenaming:
         c = Sequent(("S", "T"), (pe(r"\A y \in S : y \in T"),), pe(r"S \subseteq T"))
         assert _class_of(_initial(c), SMALL)[0] != key_a
 
-    def test_a_constant_named_like_a_rule_variable_is_searched(self, monkeypatch):
+    def test_a_constant_named_like_a_rule_variable_is_searched(self):
         a = Sequent(("S", "T"), (pe(r"\A x \in S : x \in T"),), pe(r"S \subseteq T"))
         z = rename_sequent(a, {"S": "z"})
         first = proved(a)
         # the subseteq rule's bound variable z avoids the constant z, so the
-        # trace is not even renamed
-        monkeypatch.setattr(prover, "_rename_trace", None)
+        # mapped trace fails its replay and z is searched
+        mapped = rename_outcome(first, {"S": "z"}).trace
+        assert not replay_trace(z, mapped).ok
         second = proved(z)
         assert (prover._memo.hits, prover._memo.misses) == (0, 2)
         assert r"2:~(\A z1 : z1 \in z => z1 \in T)" in second.trace
-        assert second.trace != rename_outcome(first, {"S": "z"}).trace
+        assert second.trace != mapped
 
     def test_a_renamed_trace_that_does_not_replay_is_searched(self):
         a = Sequent(("P", "Q"), (pe("P"), pe("P => Q")), pe("Q"))
@@ -1269,7 +1316,7 @@ class TestMemoKey:
     )
     def test_one_label_part_apart(self, a, b):
         # the two differ only in the part the pair is named after
-        (shape_a, names_a, _), (shape_b, names_b, _) = map(prover._fingerprint, (pe(a), pe(b)))
+        (shape_a, names_a), (shape_b, names_b) = map(prover._fingerprint, (pe(a), pe(b)))
         assert names_a == names_b and shape_a != shape_b
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import cantor_text, read_report
 from proofmgr.engine import check_theorem
-from proofmgr.meta import New, Obligation, fact
+from proofmgr.meta import New, Obligation, fact, filter_obligation
 from proofmgr.parser import parse_expression as pe, parse_theorem
 from proofmgr.report import (
     LeafEntry,
@@ -64,8 +64,9 @@ class TestBuild:
 
     def test_filtered_shown_expanded_with_flag_for_raw(self):
         checked = checked_cantor()
-        expanded = build_report(None, checked, None, expand_filtered=True)
-        raw = build_report(None, checked, None, expand_filtered=False)
+        expanded = build_report(None, checked, None)
+        filtered = [filter_obligation(r.obligation) for r in checked.records]
+        raw = build_report(None, checked, None, filtered)
         golden = expanded.leaves[0]
         assert "T ==" not in golden.filtered
         assert "T ==" in raw.leaves[0].filtered
